@@ -37,7 +37,7 @@
 //! stays bounded).
 
 use crate::network::ProcId;
-use crate::Value;
+use crate::{CrashConsensus, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One message of the leader-driven protocol.
@@ -100,36 +100,9 @@ pub struct HsucState {
 }
 
 impl HsucState {
-    /// A fresh participant whose initial estimate is `input`.
-    pub fn new(id: ProcId, n: usize, input: Value) -> Self {
-        HsucState {
-            id,
-            n,
-            est: input,
-            est_round: 0,
-            round: 0,
-            estimates: BTreeMap::new(),
-            proposals: BTreeMap::new(),
-            acks: BTreeMap::new(),
-            decided: None,
-            decided_round: None,
-            rebroadcasts: BTreeSet::new(),
-        }
-    }
-
     /// This process's id.
     pub fn id(&self) -> ProcId {
         self.id
-    }
-
-    /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
-    }
-
-    /// The round whose ack quorum produced the decision, if any.
-    pub fn decided_round(&self) -> Option<u64> {
-        self.decided_round
     }
 
     /// The round this process is currently in (0 = not started).
@@ -147,26 +120,6 @@ impl HsucState {
         self.n / 2 + 1
     }
 
-    /// Everyone enters round 1 at start by multicasting its estimate
-    /// (process 0 leads round 1 and will gather them).
-    pub fn start(&mut self) -> Vec<HsucMsg> {
-        let mut out = Vec::new();
-        self.advance_to(1, &mut out);
-        out
-    }
-
-    /// Leader failover: an undecided process gives up on the current
-    /// round and enters the next one, whose (rotated) leader takes over.
-    /// The `bne-net` shell calls this from its retry timer.
-    pub fn on_timeout(&mut self) -> Vec<HsucMsg> {
-        let mut out = Vec::new();
-        if self.decided.is_none() {
-            let next = self.round + 1;
-            self.advance_to(next, &mut out);
-        }
-        out
-    }
-
     /// Enters round `r` (if ahead of the current one) and announces the
     /// locked estimate to its leader. Round entry is contagious: higher
     /// round numbers observed in any message funnel through here.
@@ -180,11 +133,61 @@ impl HsucState {
             });
         }
     }
+}
+
+impl CrashConsensus for HsucState {
+    type Msg = HsucMsg;
+
+    /// A fresh participant whose initial estimate is `input`.
+    fn new(id: ProcId, n: usize, input: Value) -> Self {
+        HsucState {
+            id,
+            n,
+            est: input,
+            est_round: 0,
+            round: 0,
+            estimates: BTreeMap::new(),
+            proposals: BTreeMap::new(),
+            acks: BTreeMap::new(),
+            decided: None,
+            decided_round: None,
+            rebroadcasts: BTreeSet::new(),
+        }
+    }
+
+    /// The decided value, if any.
+    fn decided(&self) -> Option<Value> {
+        self.decided
+    }
+
+    fn decided_at(&self) -> Option<u64> {
+        self.decided_round
+    }
+
+    /// Everyone enters round 1 at start by multicasting its estimate
+    /// (process 0 leads round 1 and will gather them).
+    fn start(&mut self) -> Vec<HsucMsg> {
+        let mut out = Vec::new();
+        self.advance_to(1, &mut out);
+        out
+    }
+
+    /// Leader failover: an undecided process gives up on the current
+    /// round and enters the next one, whose (rotated) leader takes over.
+    /// The `bne-net` shell calls this from its retry timer.
+    fn on_timeout(&mut self) -> Vec<HsucMsg> {
+        let mut out = Vec::new();
+        if self.decided.is_none() {
+            let next = self.round + 1;
+            self.advance_to(next, &mut out);
+        }
+        out
+    }
 
     /// Handles one incoming message, returning messages to multicast to
     /// all `n` processes (own multicasts loop back and count toward
     /// quorums).
-    pub fn handle(&mut self, src: ProcId, msg: &HsucMsg) -> Vec<HsucMsg> {
+    fn handle(&mut self, src: ProcId, msg: &HsucMsg) -> Vec<HsucMsg> {
         let mut out = Vec::new();
         match *msg {
             HsucMsg::Estimate {
@@ -259,7 +262,7 @@ impl HsucState {
     /// The state that must survive a crash, encoded as words:
     /// `[est, est_round, round]` — the locked pair plus the round
     /// counter (so a recovered process never re-enters an old round).
-    pub fn durable_words(&self) -> Vec<u64> {
+    fn durable_words(&self) -> Vec<u64> {
         vec![self.est, self.est_round, self.round]
     }
 
@@ -267,7 +270,7 @@ impl HsucState {
     /// volatile fields: tallies, proposals and the learned decision are
     /// lost; the decision is re-learned from decided peers' `Decide`
     /// rebroadcasts after the next timeout-driven round entry.
-    pub fn restore_durable(&mut self, words: &[u64]) {
+    fn restore_durable(&mut self, words: &[u64]) {
         self.est = words.first().copied().unwrap_or(0);
         self.est_round = words.get(1).copied().unwrap_or(0);
         self.round = words.get(2).copied().unwrap_or(0);
@@ -322,7 +325,7 @@ mod tests {
             let procs = run_lockstep(&inputs);
             for p in &procs {
                 assert_eq!(p.decided(), Some(20), "n={n}: leader 0's input wins");
-                assert_eq!(p.decided_round(), Some(1));
+                assert_eq!(p.decided_at(), Some(1));
             }
         }
     }
@@ -412,7 +415,7 @@ mod tests {
             assert!(p.decided().is_some(), "round 2 decides without leader 0");
         }
         assert_eq!(procs[1].decided(), procs[2].decided());
-        assert_eq!(procs[1].decided_round(), Some(2));
+        assert_eq!(procs[1].decided_at(), Some(2));
     }
 
     /// Drains delivering only among processes 1..n (0 is crashed).

@@ -81,3 +81,40 @@ pub use scenario::{BroadcastScenario, OmScenario, PhaseKingScenario, ProtocolSta
 /// A binary value agreed upon (attack = 1, retreat = 0 in the paper's
 /// Byzantine agreement story).
 pub type Value = u64;
+
+/// A crash-fault consensus state machine driven by quorums and timeouts
+/// ([`PaxosState`], [`HsucState`]); `bne-net` runs both through one
+/// process shell.
+pub trait CrashConsensus: Clone {
+    /// The protocol's messages.
+    type Msg: Clone;
+    /// Participant `id` of `n`, proposing `input`.
+    fn new(id: ProcId, n: usize, input: Value) -> Self;
+    /// The messages to multicast at start.
+    fn start(&mut self) -> Vec<Self::Msg>;
+    /// Handles one message from `src`, returning the messages to multicast.
+    fn handle(&mut self, src: ProcId, msg: &Self::Msg) -> Vec<Self::Msg>;
+    /// Leader failover after a retry timeout; returns the messages to
+    /// multicast.
+    fn on_timeout(&mut self) -> Vec<Self::Msg>;
+    /// The decided value, if any.
+    fn decided(&self) -> Option<Value>;
+    /// The ballot (Paxos) or round (HSUC) whose quorum produced the
+    /// decision, if any.
+    fn decided_at(&self) -> Option<u64>;
+    /// The state that must survive a crash, encoded as words.
+    fn durable_words(&self) -> Vec<u64>;
+    /// Restores [`CrashConsensus::durable_words`], wiping the volatile
+    /// state.
+    fn restore_durable(&mut self, words: &[u64]);
+    /// Appends a canonical encoding of the live state for the model
+    /// checker; `false` when the machine has none.
+    fn state_words(&self, _out: &mut Vec<u64>) -> bool {
+        false
+    }
+    /// Whether handling `msg` from `src` is a permanent no-op (the model
+    /// checker's absorbed-delivery rule); `false` when unsure.
+    fn absorbs(&self, _src: ProcId, _msg: &Self::Msg) -> bool {
+        false
+    }
+}

@@ -31,6 +31,19 @@ pub enum TraitorStrategy {
     Silent,
 }
 
+impl TraitorStrategy {
+    /// What a traitor tells `receiver` in place of `value` (`None` stays
+    /// silent).
+    pub fn lie(self, value: Value, receiver: usize) -> Option<Value> {
+        match self {
+            TraitorStrategy::Flip => Some(if value == 0 { 1 } else { 0 }),
+            TraitorStrategy::SplitByParity => Some((receiver % 2) as Value),
+            TraitorStrategy::Fixed(v) => Some(v),
+            TraitorStrategy::Silent => None,
+        }
+    }
+}
+
 /// Configuration of one OM(m) execution.
 #[derive(Debug, Clone)]
 pub struct OmConfig {
@@ -58,6 +71,14 @@ pub struct OmOutcome {
     /// Total number of point-to-point messages exchanged, including all
     /// recursive sub-instances.
     pub messages: usize,
+}
+
+impl OmOutcome {
+    /// The decisions as a per-process vector of `n` entries (`None` for
+    /// the commander and the traitors).
+    pub fn decision_vector(&self, n: usize) -> Vec<Option<Value>> {
+        (0..n).map(|i| self.decisions.get(&i).copied()).collect()
+    }
 }
 
 /// Runs the Byzantine generals problem with commander `0` under the given
@@ -96,12 +117,7 @@ fn sent_value(config: &OmConfig, commander: usize, value: Value, receiver: usize
     if !config.traitors.contains(&commander) {
         return Some(value);
     }
-    match config.strategy {
-        TraitorStrategy::Flip => Some(if value == 0 { 1 } else { 0 }),
-        TraitorStrategy::SplitByParity => Some((receiver % 2) as Value),
-        TraitorStrategy::Fixed(v) => Some(v),
-        TraitorStrategy::Silent => None,
-    }
+    config.strategy.lie(value, receiver)
 }
 
 /// Recursive OM(m): returns, for each participant in `participants` (in

@@ -86,6 +86,58 @@ impl EigState {
             .collect()
     }
 
+    /// This participant's messages of round `round`: the commander's
+    /// `order` in round 0, then the relay of every path newly absorbed
+    /// from `inbox` while `round <= m`. `say(value, dst)` is the value
+    /// actually told to `dst` in place of `value` (`None` stays silent):
+    /// the value itself for honest processes, a lie for traitors.
+    fn send_round(
+        &mut self,
+        round: usize,
+        inbox: &[(ProcId, OmMsg)],
+        order: Value,
+        mut say: impl FnMut(Value, ProcId) -> Option<Value>,
+    ) -> Vec<(ProcId, OmMsg)> {
+        let mut out = Vec::new();
+        if round == 0 {
+            if self.id == 0 {
+                for dst in 1..self.n {
+                    if let Some(value) = say(order, dst) {
+                        out.push((
+                            dst,
+                            OmMsg {
+                                path: vec![0],
+                                value,
+                            },
+                        ));
+                    }
+                }
+            }
+            return out;
+        }
+        for (src, msg) in inbox {
+            let Some(path) = self.absorb(*src, msg, round) else {
+                continue;
+            };
+            if round <= self.m {
+                let mut relayed = path.clone();
+                relayed.push(self.id);
+                for dst in self.relay_targets(&path) {
+                    if let Some(value) = say(msg.value, dst) {
+                        out.push((
+                            dst,
+                            OmMsg {
+                                path: relayed.clone(),
+                                value,
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// The recursive EIG majority: leaves report their stored value; an
     /// internal node takes the majority over its own directly-received
     /// value plus the resolved relays of every other participant (this
@@ -145,40 +197,12 @@ impl Process for OmProcess {
     }
 
     fn round(&mut self, round: usize, inbox: &[(ProcId, OmMsg)]) -> Vec<(ProcId, OmMsg)> {
-        let mut out = Vec::new();
-        if round == 0 {
-            if self.state.id == 0 {
-                // the commander sends its order and obeys it itself
-                for dst in 1..self.state.n {
-                    out.push((
-                        dst,
-                        OmMsg {
-                            path: vec![0],
-                            value: self.input,
-                        },
-                    ));
-                }
-                self.decided = Some(self.input);
-            }
-            return out;
-        }
-        for (src, msg) in inbox {
-            let Some(path) = self.state.absorb(*src, msg, round) else {
-                continue;
-            };
-            if round <= self.state.m {
-                let mut relayed = path.clone();
-                relayed.push(self.state.id);
-                for dst in self.state.relay_targets(&path) {
-                    out.push((
-                        dst,
-                        OmMsg {
-                            path: relayed.clone(),
-                            value: msg.value,
-                        },
-                    ));
-                }
-            }
+        let out = self
+            .state
+            .send_round(round, inbox, self.input, |value, _| Some(value));
+        if round == 0 && self.state.id == 0 {
+            // the commander sends its order and obeys it itself
+            self.decided = Some(self.input);
         }
         if round == self.state.m + 1 && self.state.id != 0 {
             self.decided = Some(self.state.resolve(&mut vec![0]));
@@ -212,15 +236,6 @@ impl OmTraitorProcess {
             strategy,
         }
     }
-
-    fn lie(&self, honest_value: Value, dst: ProcId) -> Option<Value> {
-        match self.strategy {
-            TraitorStrategy::Flip => Some(if honest_value == 0 { 1 } else { 0 }),
-            TraitorStrategy::SplitByParity => Some((dst % 2) as Value),
-            TraitorStrategy::Fixed(v) => Some(v),
-            TraitorStrategy::Silent => None,
-        }
-    }
 }
 
 impl Process for OmTraitorProcess {
@@ -232,44 +247,10 @@ impl Process for OmTraitorProcess {
     }
 
     fn round(&mut self, round: usize, inbox: &[(ProcId, OmMsg)]) -> Vec<(ProcId, OmMsg)> {
-        let mut out = Vec::new();
-        if round == 0 {
-            if self.state.id == 0 {
-                for dst in 1..self.state.n {
-                    if let Some(v) = self.lie(self.input, dst) {
-                        out.push((
-                            dst,
-                            OmMsg {
-                                path: vec![0],
-                                value: v,
-                            },
-                        ));
-                    }
-                }
-            }
-            return out;
-        }
-        for (src, msg) in inbox {
-            let Some(path) = self.state.absorb(*src, msg, round) else {
-                continue;
-            };
-            if round <= self.state.m {
-                let mut relayed = path.clone();
-                relayed.push(self.state.id);
-                for dst in self.state.relay_targets(&path) {
-                    if let Some(v) = self.lie(msg.value, dst) {
-                        out.push((
-                            dst,
-                            OmMsg {
-                                path: relayed.clone(),
-                                value: v,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        out
+        self.state
+            .send_round(round, inbox, self.input, |value, dst| {
+                self.strategy.lie(value, dst)
+            })
     }
 
     fn decision(&self) -> Option<u64> {
@@ -368,40 +349,10 @@ impl Process for OmColludingTraitorProcess {
     }
 
     fn round(&mut self, round: usize, inbox: &[(ProcId, OmMsg)]) -> Vec<(ProcId, OmMsg)> {
-        let mut out = Vec::new();
-        if round == 0 {
-            if self.state.id == 0 {
-                for dst in 1..self.state.n {
-                    out.push((
-                        dst,
-                        OmMsg {
-                            path: vec![0],
-                            value: self.collusion.lie_for(dst),
-                        },
-                    ));
-                }
-            }
-            return out;
-        }
-        for (src, msg) in inbox {
-            let Some(path) = self.state.absorb(*src, msg, round) else {
-                continue;
-            };
-            if round <= self.state.m {
-                let mut relayed = path.clone();
-                relayed.push(self.state.id);
-                for dst in self.state.relay_targets(&path) {
-                    out.push((
-                        dst,
-                        OmMsg {
-                            path: relayed.clone(),
-                            value: self.collusion.lie_for(dst),
-                        },
-                    ));
-                }
-            }
-        }
-        out
+        let collusion = &self.collusion;
+        // the ledger ignores the order: every value is the lie for `dst`
+        self.state
+            .send_round(round, inbox, 0, |_, dst| Some(collusion.lie_for(dst)))
     }
 
     fn decision(&self) -> Option<u64> {
@@ -412,24 +363,14 @@ impl Process for OmColludingTraitorProcess {
 /// Builds the full process set (honest and traitorous) for `config`,
 /// ready to run on any network runtime.
 pub fn om_process_set(config: &OmConfig) -> Vec<Box<dyn Process<Msg = OmMsg>>> {
-    (0..config.n)
-        .map(|id| {
-            if config.traitors.contains(&id) {
-                Box::new(OmTraitorProcess::new(
-                    config.commander_value,
-                    config.m,
-                    config.default_value,
-                    config.strategy,
-                )) as Box<dyn Process<Msg = OmMsg>>
-            } else {
-                Box::new(OmProcess::new(
-                    config.commander_value,
-                    config.m,
-                    config.default_value,
-                )) as Box<dyn Process<Msg = OmMsg>>
-            }
-        })
-        .collect()
+    process_set(config, || {
+        Box::new(OmTraitorProcess::new(
+            config.commander_value,
+            config.m,
+            config.default_value,
+            config.strategy,
+        ))
+    })
 }
 
 /// Builds the process set for `config` with **colluding** traitors: all
@@ -441,20 +382,31 @@ pub fn om_colluding_process_set(
     collusion_seed: u64,
 ) -> Vec<Box<dyn Process<Msg = OmMsg>>> {
     let collusion = OmCollusion::new(collusion_seed, config.traitors.clone());
+    process_set(config, || {
+        Box::new(OmColludingTraitorProcess::new(
+            config.m,
+            config.default_value,
+            Rc::clone(&collusion),
+        ))
+    })
+}
+
+/// `config`'s process set: honest [`OmProcess`]es, with `traitor()`
+/// filling every traitor's slot.
+fn process_set(
+    config: &OmConfig,
+    mut traitor: impl FnMut() -> Box<dyn Process<Msg = OmMsg>>,
+) -> Vec<Box<dyn Process<Msg = OmMsg>>> {
     (0..config.n)
-        .map(|id| {
+        .map(|id| -> Box<dyn Process<Msg = OmMsg>> {
             if config.traitors.contains(&id) {
-                Box::new(OmColludingTraitorProcess::new(
-                    config.m,
-                    config.default_value,
-                    Rc::clone(&collusion),
-                )) as Box<dyn Process<Msg = OmMsg>>
+                traitor()
             } else {
                 Box::new(OmProcess::new(
                     config.commander_value,
                     config.m,
                     config.default_value,
-                )) as Box<dyn Process<Msg = OmMsg>>
+                ))
             }
         })
         .collect()

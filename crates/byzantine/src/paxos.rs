@@ -35,7 +35,7 @@
 //! decided or not, precisely so recovered processes can re-learn.
 
 use crate::network::ProcId;
-use crate::Value;
+use crate::{CrashConsensus, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One single-decree Paxos message. Ballot numbers start at 1; ballot 0
@@ -119,8 +119,48 @@ pub struct PaxosState {
 }
 
 impl PaxosState {
+    /// This process's id.
+    pub fn id(&self) -> ProcId {
+        self.id
+    }
+
+    /// Highest ballot promised so far (0 = none) — acceptor state.
+    pub fn promised(&self) -> u64 {
+        self.promised
+    }
+
+    /// A majority quorum: any two intersect.
+    fn majority(&self) -> usize {
+        self.n / 2 + 1
+    }
+
+    /// The smallest ballot strictly above `above` that this process
+    /// owns (`(b − 1) mod n == id`).
+    fn next_own_ballot(&self, above: u64) -> u64 {
+        let base = self.id as u64 + 1;
+        if above < base {
+            base
+        } else {
+            base + ((above - base) / self.n as u64 + 1) * self.n as u64
+        }
+    }
+
+    /// Opens the next own ballot above `max(promised, my_ballot)`.
+    fn open_ballot(&mut self) -> Vec<PaxosMsg> {
+        self.my_ballot = self.next_own_ballot(self.promised.max(self.my_ballot));
+        self.phase = ProposerPhase::Phase1;
+        self.promises.clear();
+        vec![PaxosMsg::P1a {
+            ballot: self.my_ballot,
+        }]
+    }
+}
+
+impl CrashConsensus for PaxosState {
+    type Msg = PaxosMsg;
+
     /// A fresh participant proposing `input` when free to choose.
-    pub fn new(id: ProcId, n: usize, input: Value) -> Self {
+    fn new(id: ProcId, n: usize, input: Value) -> Self {
         PaxosState {
             id,
             n,
@@ -137,29 +177,13 @@ impl PaxosState {
         }
     }
 
-    /// This process's id.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
     /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
+    fn decided(&self) -> Option<Value> {
         self.decided
     }
 
-    /// The ballot whose quorum produced this process's decision, if any.
-    pub fn decided_ballot(&self) -> Option<u64> {
+    fn decided_at(&self) -> Option<u64> {
         self.decided_ballot
-    }
-
-    /// Highest ballot promised so far (0 = none) — acceptor state.
-    pub fn promised(&self) -> u64 {
-        self.promised
-    }
-
-    /// A majority quorum: any two intersect.
-    fn majority(&self) -> usize {
-        self.n / 2 + 1
     }
 
     /// Appends a canonical encoding of the *behaviorally live* local
@@ -177,7 +201,7 @@ impl PaxosState {
     /// tallies are only ever consulted by the decision rule, which is a
     /// no-op once `decided` is set. (A crash wipes every volatile field
     /// either way, so recovery cannot tell canonicalized states apart.)
-    pub fn state_words(&self, out: &mut Vec<u64>) {
+    fn state_words(&self, out: &mut Vec<u64>) -> bool {
         debug_assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
         out.push(self.promised);
         out.push(self.acc_ballot);
@@ -216,6 +240,7 @@ impl PaxosState {
         } else {
             out.push(0);
         }
+        true
     }
 
     /// Whether handling `msg` from `src` is a behavioral no-op that will
@@ -228,7 +253,7 @@ impl PaxosState {
     /// learner's appetite for `Decided`, so callers draining absorbed
     /// messages must not do so past a possible recovery (the model
     /// checker runs crash-stop faults only).
-    pub fn absorbs(&self, src: ProcId, msg: &PaxosMsg) -> bool {
+    fn absorbs(&self, src: ProcId, msg: &PaxosMsg) -> bool {
         match *msg {
             // promises are strictly increasing
             PaxosMsg::P1a { ballot } => ballot <= self.promised,
@@ -256,20 +281,9 @@ impl PaxosState {
         }
     }
 
-    /// The smallest ballot strictly above `above` that this process
-    /// owns (`(b − 1) mod n == id`).
-    fn next_own_ballot(&self, above: u64) -> u64 {
-        let base = self.id as u64 + 1;
-        if above < base {
-            base
-        } else {
-            base + ((above - base) / self.n as u64 + 1) * self.n as u64
-        }
-    }
-
     /// The opening move: process 0 (owner of ballot 1) starts the first
     /// ballot; everyone else waits for traffic or a timeout.
-    pub fn start(&mut self) -> Vec<PaxosMsg> {
+    fn start(&mut self) -> Vec<PaxosMsg> {
         if self.id == 0 {
             self.open_ballot()
         } else {
@@ -281,27 +295,17 @@ impl PaxosState {
     /// own ballot above everything seen. The `bne-net` shell calls this
     /// from its retry timer; an undecided process whose proposer went
     /// quiet thereby becomes the proposer itself.
-    pub fn on_timeout(&mut self) -> Vec<PaxosMsg> {
+    fn on_timeout(&mut self) -> Vec<PaxosMsg> {
         if self.decided.is_some() {
             return Vec::new();
         }
         self.open_ballot()
     }
 
-    /// Opens the next own ballot above `max(promised, my_ballot)`.
-    fn open_ballot(&mut self) -> Vec<PaxosMsg> {
-        self.my_ballot = self.next_own_ballot(self.promised.max(self.my_ballot));
-        self.phase = ProposerPhase::Phase1;
-        self.promises.clear();
-        vec![PaxosMsg::P1a {
-            ballot: self.my_ballot,
-        }]
-    }
-
     /// Handles one incoming message, returning the messages to multicast
     /// to all `n` processes (a process's own multicasts loop back and
     /// count toward its quorums like anyone else's).
-    pub fn handle(&mut self, src: ProcId, msg: &PaxosMsg) -> Vec<PaxosMsg> {
+    fn handle(&mut self, src: ProcId, msg: &PaxosMsg) -> Vec<PaxosMsg> {
         let mut out = Vec::new();
         match *msg {
             PaxosMsg::P1a { ballot } => {
@@ -377,7 +381,7 @@ impl PaxosState {
 
     /// The acceptor state that must survive a crash, encoded as words:
     /// `[promised, acc_ballot, has_acc_value, acc_value]`.
-    pub fn durable_words(&self) -> Vec<u64> {
+    fn durable_words(&self) -> Vec<u64> {
         vec![
             self.promised,
             self.acc_ballot,
@@ -389,7 +393,7 @@ impl PaxosState {
     /// Restores [`PaxosState::durable_words`] after a crash, wiping every
     /// volatile field: in-flight ballots, tallies and even the learned
     /// decision are lost and must be re-learned through a fresh ballot.
-    pub fn restore_durable(&mut self, words: &[u64]) {
+    fn restore_durable(&mut self, words: &[u64]) {
         self.promised = words.first().copied().unwrap_or(0);
         self.acc_ballot = words.get(1).copied().unwrap_or(0);
         self.acc_value = if words.get(2).copied().unwrap_or(0) == 1 {
@@ -445,7 +449,7 @@ mod tests {
             let procs = run_lockstep(&inputs);
             for p in &procs {
                 assert_eq!(p.decided(), Some(10), "n={n}: proposer 0's input wins");
-                assert_eq!(p.decided_ballot(), Some(1));
+                assert_eq!(p.decided_at(), Some(1));
             }
         }
     }

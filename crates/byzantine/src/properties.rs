@@ -1,8 +1,18 @@
-//! Agreement and validity checking for Byzantine agreement executions, plus
-//! the sweep helper used by experiment E4 (the t < n/3 boundary table).
+//! Agreement and validity checking for every protocol harness in the
+//! workspace, plus the sweep helper used by experiment E4 (the t < n/3
+//! boundary table).
+//!
+//! The two safety conditions each have exactly one implementation here,
+//! [`agreement_witness`] and [`validity_witness`]. Both walk the decided
+//! `(process, value)` pairs and return the first offending witness without
+//! allocating, so the model checker can run them at every explored state;
+//! the boolean checks ([`check_agreement`], [`check_validity`]) and the
+//! per-run judges ([`report`], [`uniform_report`], [`rb_report`]) the
+//! sampler scenarios use are thin wrappers over them.
 
 use crate::om::{om_byzantine_generals, OmConfig, TraitorStrategy};
-use crate::Value;
+use crate::scenario::Judge;
+use crate::{ProcId, Value};
 use std::collections::BTreeSet;
 
 /// The classical correctness conditions of Byzantine agreement, evaluated on
@@ -25,51 +35,99 @@ impl AgreementReport {
     }
 }
 
+/// Agreement: the first two of the `decided` `(process, value)` pairs
+/// whose values differ, or `None` when every listed decision is the same.
+///
+/// The witness pairs the first decision with the first one that
+/// contradicts it. Allocation-free.
+pub fn agreement_witness<I>(decided: I) -> Option<((ProcId, Value), (ProcId, Value))>
+where
+    I: IntoIterator<Item = (ProcId, Value)>,
+{
+    let mut decided = decided.into_iter();
+    let first = decided.next()?;
+    decided
+        .find(|&(_, v)| v != first.1)
+        .map(|other| (first, other))
+}
+
+/// Set validity: the first of the `decided` `(process, value)` pairs whose
+/// value `allowed` rejects, or `None` when every listed decision is
+/// permissible. Undecided processes are not listed, so they never violate
+/// it. Allocation-free.
+pub fn validity_witness<I>(decided: I, allowed: impl Fn(Value) -> bool) -> Option<(ProcId, Value)>
+where
+    I: IntoIterator<Item = (ProcId, Value)>,
+{
+    decided.into_iter().find(|&(_, v)| !allowed(v))
+}
+
+/// The `(process, value)` pairs of the processes `mask` selects that
+/// have decided.
+fn decided_in<'a>(
+    decisions: &'a [Option<Value>],
+    mask: &'a [bool],
+) -> impl Iterator<Item = (ProcId, Value)> + 'a {
+    decisions
+        .iter()
+        .zip(mask)
+        .enumerate()
+        .filter_map(|(i, (d, &m))| d.filter(|_| m).map(|v| (i, v)))
+}
+
+/// Whether every process `mask` selects has decided.
+fn all_decided_in(decisions: &[Option<Value>], mask: &[bool]) -> bool {
+    decisions.iter().zip(mask).all(|(d, &m)| !m || d.is_some())
+}
+
 /// Checks agreement over a slice of optional decisions, where `honest[i]`
 /// says whether process `i` is honest. Faulty processes' entries are
 /// ignored.
 pub fn check_agreement(decisions: &[Option<Value>], honest: &[bool]) -> bool {
-    let honest_values: Vec<Value> = decisions
-        .iter()
-        .zip(honest.iter())
-        .filter(|(_, &h)| h)
-        .filter_map(|(d, _)| *d)
-        .collect();
-    honest_values.windows(2).all(|w| w[0] == w[1])
+    agreement_witness(decided_in(decisions, honest)).is_none()
 }
 
 /// Checks validity: every honest decision equals `expected` (use only when
-/// the source is honest).
+/// the source is honest). An undecided honest process fails it.
 pub fn check_validity(decisions: &[Option<Value>], honest: &[bool], expected: Value) -> bool {
-    decisions
-        .iter()
-        .zip(honest.iter())
-        .filter(|(_, &h)| h)
-        .all(|(d, _)| *d == Some(expected))
+    all_decided_in(decisions, honest)
+        && validity_witness(decided_in(decisions, honest), |v| v == expected).is_none()
 }
 
-/// Builds the full [`AgreementReport`] from decisions and the honesty mask.
+/// Builds the full [`AgreementReport`] from decisions and the honesty
+/// mask. `reference` is the value validity holds the honest processes
+/// to — the honest general's preference, or the unanimous honest input —
+/// and `None` when there is none (validity is then vacuous).
 pub fn report(
     decisions: &[Option<Value>],
     honest: &[bool],
-    general_honest: bool,
-    general_preference: Value,
+    reference: Option<Value>,
 ) -> AgreementReport {
-    let all_decided = decisions
-        .iter()
-        .zip(honest.iter())
-        .filter(|(_, &h)| h)
-        .all(|(d, _)| d.is_some());
-    let agreement = check_agreement(decisions, honest);
-    let validity = if general_honest {
-        check_validity(decisions, honest, general_preference)
-    } else {
-        true
-    };
     AgreementReport {
-        all_decided,
-        agreement,
-        validity,
+        all_decided: all_decided_in(decisions, honest),
+        agreement: check_agreement(decisions, honest),
+        validity: reference.is_none_or(|v| check_validity(decisions, honest, v)),
+    }
+}
+
+/// The [`AgreementReport`] of a crash-fault consensus run (Paxos, HSUC):
+/// every process `obligated` selects must decide, while agreement and
+/// validity range over **all** decisions ever made, crashed deciders
+/// included (uniform agreement), and validity only asks that each decided
+/// value be some process's input.
+pub fn uniform_report(
+    decisions: &[Option<Value>],
+    obligated: &[bool],
+    inputs: &[Value],
+) -> AgreementReport {
+    let all = decisions
+        .iter()
+        .enumerate()
+        .filter_map(|(i, d)| d.map(|v| (i, v)));
+    AgreementReport {
+        all_decided: all_decided_in(decisions, obligated),
+        agreement: agreement_witness(all.clone()).is_none(),
+        validity: validity_witness(all, |v| inputs.contains(&v)).is_none(),
     }
 }
 
@@ -77,6 +135,8 @@ pub fn report(
 /// on the honest processes' delivered values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RbReport {
+    /// Every honest process delivered.
+    pub all_delivered: bool,
     /// Validity: the honest broadcaster's value was delivered by every
     /// honest process (vacuously true when the broadcaster is faulty).
     pub validity: bool,
@@ -88,7 +148,7 @@ pub struct RbReport {
 }
 
 impl RbReport {
-    /// Whether all three conditions hold.
+    /// Whether validity, agreement and totality all hold.
     pub fn correct(&self) -> bool {
         self.validity && self.agreement && self.totality
     }
@@ -103,23 +163,13 @@ pub fn rb_report(
     honest: &[bool],
     broadcaster_value: Option<Value>,
 ) -> RbReport {
-    let honest_deliveries: Vec<Option<Value>> = delivered
-        .iter()
-        .zip(honest.iter())
-        .filter(|(_, &h)| h)
-        .map(|(d, _)| *d)
-        .collect();
-    let validity = match broadcaster_value {
-        Some(v) => honest_deliveries.iter().all(|d| *d == Some(v)),
-        None => true,
-    };
-    let agreement = check_agreement(delivered, honest);
-    let any = honest_deliveries.iter().any(|d| d.is_some());
-    let totality = !any || honest_deliveries.iter().all(|d| d.is_some());
+    let base = report(delivered, honest, broadcaster_value);
+    let any = decided_in(delivered, honest).next().is_some();
     RbReport {
-        validity,
-        agreement,
-        totality,
+        all_delivered: base.all_decided,
+        validity: base.validity,
+        agreement: base.agreement,
+        totality: !any || base.all_decided,
     }
 }
 
@@ -161,24 +211,18 @@ pub fn om_boundary_sweep(
                 n,
                 m: t,
                 commander_value: 1,
-                traitors: traitors.clone(),
+                traitors,
                 strategy: TraitorStrategy::SplitByParity,
                 default_value: 0,
             };
             let outcome = om_byzantine_generals(&config);
-            let values: Vec<Value> = outcome.decisions.values().copied().collect();
-            let agreement = values.windows(2).all(|w| w[0] == w[1]);
-            let validity = if traitors.contains(&0) {
-                true
-            } else {
-                values.iter().all(|&v| v == 1)
-            };
+            let judged = Judge::om(&config).report(&outcome.decision_vector(n));
             rows.push(BoundarySweepRow {
                 n,
                 t,
                 theoretically_possible: n > 3 * t,
-                agreement,
-                validity,
+                agreement: judged.agreement,
+                validity: judged.validity,
                 messages: outcome.messages,
             });
         }
@@ -208,7 +252,7 @@ mod tests {
         let decisions = vec![Some(1), Some(0)];
         let honest = vec![true, false];
         assert!(check_agreement(&decisions, &honest));
-        let r = report(&decisions, &honest, true, 1);
+        let r = report(&decisions, &honest, Some(1));
         assert!(r.correct());
     }
 
@@ -216,7 +260,7 @@ mod tests {
     fn report_flags_missing_decisions() {
         let decisions = vec![Some(1), None];
         let honest = vec![true, true];
-        let r = report(&decisions, &honest, true, 1);
+        let r = report(&decisions, &honest, Some(1));
         assert!(!r.all_decided);
         assert!(!r.correct());
     }

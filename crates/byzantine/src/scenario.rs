@@ -7,14 +7,21 @@
 //! ([`BroadcastScenario`]) — all reporting into the shared
 //! [`ProtocolStats`] aggregate, so grids across protocols are directly
 //! comparable.
+//!
+//! Every scenario builds its processes, runs them, and judges the
+//! decisions with [`crate::properties`]. The phase-king and Dolev–Strong
+//! process sets come from [`phase_king_replica`] and
+//! [`dolev_strong_replica`], which the asynchronous scenarios in
+//! `bne-net` call too, so a sync replica and its async counterpart differ
+//! only in the network that runs them.
 
 use crate::adversary::{FaultyBehavior, FaultyProcess};
 use crate::broadcast::{run_dolev_strong, DolevStrongProcess, EquivocatingSender, SignedMessage};
 use crate::network::Process;
 use crate::om::{om_byzantine_generals, OmConfig, TraitorStrategy};
 use crate::phase_king::{run_phase_king, PhaseKingProcess};
-use crate::properties::{check_agreement, check_validity};
-use crate::Value;
+use crate::properties::{report, AgreementReport};
+use crate::{ProcId, Value};
 use bne_crypto::pki::PublicKeyInfrastructure;
 use bne_sim::{Merge, Scenario, StreamingStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -36,21 +43,14 @@ pub struct ProtocolStats {
 }
 
 impl ProtocolStats {
-    /// Summarizes one execution.
-    pub fn of_run(decided: bool, agreement: bool, validity: bool, messages: usize) -> Self {
+    /// Summarizes one execution from its judged [`AgreementReport`].
+    pub fn of_run(report: AgreementReport, messages: usize) -> Self {
         ProtocolStats {
-            decided: StreamingStats::of(f64::from(decided)),
-            agreement: StreamingStats::of(f64::from(agreement)),
-            validity: StreamingStats::of(f64::from(validity)),
+            decided: StreamingStats::of(f64::from(report.all_decided)),
+            agreement: StreamingStats::of(f64::from(report.agreement)),
+            validity: StreamingStats::of(f64::from(report.validity)),
             messages: StreamingStats::of(messages as f64),
         }
-    }
-
-    /// Empirical probability that an execution was fully correct is at
-    /// most `min` of the three component rates; this reports the rate of
-    /// executions satisfying agreement **and** validity **and** decision.
-    pub fn agreement_rate(&self) -> f64 {
-        self.agreement.mean()
     }
 }
 
@@ -61,6 +61,52 @@ impl Merge for ProtocolStats {
         self.validity.merge(&other.validity);
         self.messages.merge(&other.messages);
     }
+}
+
+/// What a replica's decisions are judged against.
+#[derive(Debug, Clone)]
+pub struct Judge {
+    /// The faulty process ids.
+    pub faulty: BTreeSet<ProcId>,
+    /// `honest[i]`: whether process `i`'s decision is judged.
+    pub honest: Vec<bool>,
+    /// The value validity holds the honest processes to (the honest
+    /// source's input, or the unanimous honest start); `None` makes
+    /// validity vacuous.
+    pub reference: Option<Value>,
+}
+
+impl Judge {
+    /// The judge of an OM run: the loyal lieutenants must agree and,
+    /// under a loyal commander, obey its order.
+    pub fn om(config: &OmConfig) -> Self {
+        Judge {
+            faulty: config.traitors.clone(),
+            honest: (0..config.n)
+                .map(|i| i != 0 && !config.traitors.contains(&i))
+                .collect(),
+            reference: (!config.traitors.contains(&0)).then_some(config.commander_value),
+        }
+    }
+
+    /// Judges one run's decisions with [`report`].
+    pub fn report(&self, decisions: &[Option<Value>]) -> AgreementReport {
+        report(decisions, &self.honest, self.reference)
+    }
+
+    /// Summarizes one judged run.
+    pub fn stats(&self, decisions: &[Option<Value>], messages: usize) -> ProtocolStats {
+        ProtocolStats::of_run(self.report(decisions), messages)
+    }
+}
+
+/// One seeded replica of a round-based protocol: its process set plus
+/// what the run is judged against.
+pub struct Replica<M> {
+    /// The processes, indexed by id.
+    pub processes: Vec<Box<dyn Process<Msg = M>>>,
+    /// How the run is judged.
+    pub judge: Judge,
 }
 
 // ---------------------------------------------------------------------------
@@ -90,27 +136,34 @@ impl Scenario for OmScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &OmCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let commander_value: Value = rng.random_range(0..2u64);
-        let traitors: BTreeSet<usize> = if cell.commander_faulty {
-            (0..cell.t).collect()
-        } else {
-            (1..=cell.t).collect()
-        };
-        let config = OmConfig {
-            n: cell.n,
-            m: cell.t,
-            commander_value,
-            traitors: traitors.clone(),
-            strategy: cell.strategy,
-            default_value: 0,
-        };
+        let config = om_replica_config(cell.n, cell.t, cell.strategy, cell.commander_faulty, seed);
         let outcome = om_byzantine_generals(&config);
-        let values: Vec<Value> = outcome.decisions.values().copied().collect();
-        let agreement = values.windows(2).all(|w| w[0] == w[1]);
-        let validity = traitors.contains(&0) || values.iter().all(|&v| v == commander_value);
-        // every loyal lieutenant appears in `decisions` by construction
-        ProtocolStats::of_run(true, agreement, validity, outcome.messages)
+        Judge::om(&config).stats(&outcome.decision_vector(config.n), outcome.messages)
+    }
+}
+
+/// Builds the OM configuration of `seed`: the commander's order is drawn
+/// from the seed, and the `t` traitors are the first lieutenants, or the
+/// commander and the first `t - 1` lieutenants when `commander_faulty`.
+pub fn om_replica_config(
+    n: usize,
+    t: usize,
+    strategy: TraitorStrategy,
+    commander_faulty: bool,
+    seed: u64,
+) -> OmConfig {
+    let mut rng = StdRng::seed_from_u64(seed);
+    OmConfig {
+        n,
+        m: t,
+        commander_value: rng.random_range(0..2u64),
+        traitors: if commander_faulty {
+            (0..t).collect()
+        } else {
+            (1..=t).collect()
+        },
+        strategy,
+        default_value: 0,
     }
 }
 
@@ -166,43 +219,50 @@ impl Scenario for PhaseKingScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &PhaseKingCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let honest_count = cell.n - cell.t;
-        let common: Value = rng.random_range(0..2u64);
-        let initials: Vec<Value> = (0..honest_count)
-            .map(|_| {
-                if cell.unanimous_start {
-                    common
-                } else {
-                    rng.random_range(0..2u64)
-                }
-            })
-            .collect();
-        let mut processes: Vec<Box<dyn Process<Msg = Value>>> = initials
-            .iter()
-            .map(|&v| Box::new(PhaseKingProcess::new(v, cell.t)) as Box<dyn Process<Msg = Value>>)
-            .collect();
-        for _ in 0..cell.t {
-            // re-seed stochastic adversaries from the replica seed so
-            // replicas see independent noise (deterministic behaviors are
-            // unchanged; the draw keeps the stream layout uniform)
-            let behavior = cell.behavior.with_seed(rng.random::<u64>());
-            processes.push(Box::new(FaultyProcess::new(behavior)));
-        }
+        let Replica { processes, judge } =
+            phase_king_replica(cell.n, cell.t, &cell.behavior, cell.unanimous_start, seed);
         let (decisions, stats) = run_phase_king(processes, cell.t);
-        let honest: Vec<bool> = (0..cell.n).map(|i| i < honest_count).collect();
-        let decided = decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&decisions, &honest);
-        let validity = if cell.unanimous_start {
-            check_validity(&decisions, &honest, common)
+        judge.stats(&decisions, stats.messages_sent)
+    }
+}
+
+/// Builds the phase-king replica of `seed`: `n - t` honest processes, with
+/// one seed-drawn bit each or a common one under `unanimous_start`, then
+/// `t` faulty ones running `behavior` re-seeded from the same stream.
+pub fn phase_king_replica(
+    n: usize,
+    t: usize,
+    behavior: &FaultyBehavior,
+    unanimous_start: bool,
+    seed: u64,
+) -> Replica<Value> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let honest_count = n - t;
+    let common: Value = rng.random_range(0..2u64);
+    let mut processes: Vec<Box<dyn Process<Msg = Value>>> = Vec::with_capacity(n);
+    for _ in 0..honest_count {
+        let initial = if unanimous_start {
+            common
         } else {
-            true
+            rng.random_range(0..2u64)
         };
-        ProtocolStats::of_run(decided, agreement, validity, stats.messages_sent)
+        processes.push(Box::new(PhaseKingProcess::new(initial, t)));
+    }
+    for _ in 0..t {
+        // re-seed stochastic adversaries from the replica seed so
+        // replicas see independent noise (deterministic behaviors are
+        // unchanged; the draw keeps the stream layout uniform)
+        processes.push(Box::new(FaultyProcess::new(
+            behavior.with_seed(rng.random::<u64>()),
+        )));
+    }
+    Replica {
+        processes,
+        judge: Judge {
+            faulty: (honest_count..n).collect(),
+            honest: (0..n).map(|i| i < honest_count).collect(),
+            reference: unanimous_start.then_some(common),
+        },
     }
 }
 
@@ -251,40 +311,53 @@ impl Scenario for BroadcastScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &BroadcastCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (pki, keys) = PublicKeyInfrastructure::setup(cell.n, &mut rng);
-        let input: Value = rng.random_range(0..2u64);
-        let mut processes: Vec<Box<dyn Process<Msg = SignedMessage>>> = Vec::new();
-        for i in 0..cell.n {
-            if i == 0 && cell.equivocating_sender {
-                processes.push(Box::new(EquivocatingSender::new(keys[0])));
+        let Replica { processes, judge } =
+            dolev_strong_replica(cell.n, cell.t, cell.equivocating_sender, seed);
+        let (decisions, stats) = run_dolev_strong(processes, cell.t);
+        judge.stats(&decisions, stats.messages_sent)
+    }
+}
+
+/// Builds the Dolev–Strong replica of `seed`: a fresh simulated PKI and
+/// a seed-drawn input for sender 0, which equivocates instead when
+/// `equivocating_sender` is set.
+pub fn dolev_strong_replica(
+    n: usize,
+    t: usize,
+    equivocating_sender: bool,
+    seed: u64,
+) -> Replica<SignedMessage> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (pki, keys) = PublicKeyInfrastructure::setup(n, &mut rng);
+    let input: Value = rng.random_range(0..2u64);
+    let processes = (0..n)
+        .map(|i| -> Box<dyn Process<Msg = SignedMessage>> {
+            if i == 0 && equivocating_sender {
+                Box::new(EquivocatingSender::new(keys[0]))
             } else {
-                processes.push(Box::new(DolevStrongProcess::new(
+                Box::new(DolevStrongProcess::new(
                     0,
                     input,
-                    cell.t,
+                    t,
                     pki.clone(),
                     keys[i],
                     0,
-                )));
+                ))
             }
-        }
-        let (decisions, stats) = run_dolev_strong(processes, cell.t);
-        let honest: Vec<bool> = (0..cell.n)
-            .map(|i| i != 0 || !cell.equivocating_sender)
-            .collect();
-        let decided = decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&decisions, &honest);
-        let validity = if cell.equivocating_sender {
-            true
-        } else {
-            check_validity(&decisions, &honest, input)
-        };
-        ProtocolStats::of_run(decided, agreement, validity, stats.messages_sent)
+        })
+        .collect();
+    let faulty: BTreeSet<ProcId> = if equivocating_sender {
+        [0].into_iter().collect()
+    } else {
+        BTreeSet::new()
+    };
+    Replica {
+        processes,
+        judge: Judge {
+            honest: (0..n).map(|i| !faulty.contains(&i)).collect(),
+            faulty,
+            reference: (!equivocating_sender).then_some(input),
+        },
     }
 }
 

@@ -105,7 +105,7 @@
 //! [`LatencyModel::Constant`]: bne_net::LatencyModel::Constant
 //! [`SchedulerPolicy::Fifo`]: bne_net::SchedulerPolicy::Fifo
 
-use crate::property::{Property, StateView, Violation};
+use crate::property::{first_violation, Property, Violation};
 use crate::trace::CounterexampleTrace;
 use crate::words::McWords;
 use bne_byzantine::choice::{ChoiceTap, SharedTap};
@@ -411,26 +411,6 @@ impl<M: Clone + McWords> Explorer<M> {
         key
     }
 
-    fn check_properties(&self) -> Option<Violation> {
-        let decisions = self.net.decisions();
-        let crashed: Vec<bool> = (0..self.net.num_processes())
-            .map(|p| self.net.is_crashed(p))
-            .collect();
-        let view = StateView {
-            decisions: &decisions,
-            crashed: &crashed,
-        };
-        for p in &self.properties {
-            if let Some(detail) = p.check(&view) {
-                return Some(Violation {
-                    property: p.name().to_string(),
-                    detail,
-                });
-            }
-        }
-        None
-    }
-
     fn make_trace(&self, violation: Violation) -> Box<CounterexampleTrace> {
         Box::new(CounterexampleTrace {
             scenario: self.cfg.scenario.clone(),
@@ -526,7 +506,7 @@ impl<M: Clone + McWords> Explorer<M> {
                     self.cfg.max_depth
                 )));
             }
-            if let Some(violation) = self.check_properties() {
+            if let Some(violation) = first_violation(&self.net, &self.properties) {
                 return Err(Stop::Violation(self.make_trace(violation)));
             }
         }

@@ -12,8 +12,15 @@
 //! what makes checking under partial-order reduction sound — a deferred
 //! independent event can never un-violate agreement (see
 //! [`crate::explorer`]).
+//!
+//! [`Agreement`] and [`Validity`] are the model checker's names for the
+//! workspace's one agreement/validity implementation,
+//! [`bne_byzantine::properties`]: they only pick the processes to judge
+//! and word the witness.
 
+use bne_byzantine::properties::{agreement_witness, validity_witness};
 use bne_byzantine::{ProcId, Value};
+use bne_net::EventNet;
 use std::collections::BTreeSet;
 
 /// The slice of runtime state a property may look at.
@@ -35,6 +42,27 @@ pub struct Violation {
     pub detail: String,
 }
 
+/// The first of `properties` that `net`'s current state violates.
+pub(crate) fn first_violation<M: Clone>(
+    net: &EventNet<M>,
+    properties: &[Box<dyn Property>],
+) -> Option<Violation> {
+    let decisions = net.decisions();
+    let crashed: Vec<bool> = (0..net.num_processes())
+        .map(|p| net.is_crashed(p))
+        .collect();
+    let view = StateView {
+        decisions: &decisions,
+        crashed: &crashed,
+    };
+    properties.iter().find_map(|p| {
+        p.check(&view).map(|detail| Violation {
+            property: p.name().to_string(),
+            detail,
+        })
+    })
+}
+
 /// A safety property evaluated at every explored state.
 ///
 /// Implementations must be **stable** (violations persist along every
@@ -46,6 +74,16 @@ pub trait Property {
     fn name(&self) -> &'static str;
     /// `Some(detail)` iff the state violates the property.
     fn check(&self, view: &StateView<'_>) -> Option<String>;
+}
+
+/// The `(process, value)` pairs of the listed processes that have decided.
+fn decided<'a>(
+    procs: &'a [ProcId],
+    view: &'a StateView<'_>,
+) -> impl Iterator<Item = (ProcId, Value)> + 'a {
+    procs
+        .iter()
+        .filter_map(|&p| view.decisions.get(p).copied().flatten().map(|v| (p, v)))
 }
 
 /// Agreement: no two of the listed processes decide different values.
@@ -73,22 +111,8 @@ impl Property for Agreement {
     }
 
     fn check(&self, view: &StateView<'_>) -> Option<String> {
-        let mut first: Option<(ProcId, Value)> = None;
-        for &p in &self.procs {
-            let Some(v) = view.decisions.get(p).copied().flatten() else {
-                continue;
-            };
-            match first {
-                None => first = Some((p, v)),
-                Some((q, w)) if w != v => {
-                    return Some(format!(
-                        "process {q} decided {w} but process {p} decided {v}"
-                    ))
-                }
-                Some(_) => {}
-            }
-        }
-        None
+        agreement_witness(decided(&self.procs, view))
+            .map(|((q, w), (p, v))| format!("process {q} decided {w} but process {p} decided {v}"))
     }
 }
 
@@ -127,17 +151,12 @@ impl Property for Validity {
     }
 
     fn check(&self, view: &StateView<'_>) -> Option<String> {
-        for &p in &self.procs {
-            if let Some(v) = view.decisions.get(p).copied().flatten() {
-                if !self.allowed.contains(&v) {
-                    return Some(format!(
-                        "process {p} decided {v}, outside the valid set {:?}",
-                        self.allowed
-                    ));
-                }
-            }
-        }
-        None
+        validity_witness(decided(&self.procs, view), |v| self.allowed.contains(&v)).map(|(p, v)| {
+            format!(
+                "process {p} decided {v}, outside the valid set {:?}",
+                self.allowed
+            )
+        })
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::explorer::{Choice, ExploreConfig};
 use crate::liar::BrachaLiar;
-use crate::property::{Agreement, Property, StateView, Validity, Violation};
+use crate::property::{first_violation, Agreement, Property, Validity, Violation};
 use crate::trace::CounterexampleTrace;
 use crate::words::McWords;
 use bne_byzantine::ben_or::BenOrMsg;
@@ -132,11 +132,16 @@ impl BrachaParams {
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
         let get = |key: &str| param(params, key);
+        let n = model_size(params)?;
+        let liar = get("liar")? != 0;
+        if liar && n < 2 {
+            return Err("a liar needs an honest process beside it".to_string());
+        }
         Ok(BrachaParams {
-            n: get("n")? as usize,
-            t: get("t")? as usize,
-            input: get("input")?,
-            liar: get("liar")? != 0,
+            n,
+            t: fault_budget(params, n)?,
+            input: binary_inputs(params, "input", 1)?[0],
+            liar,
             amp_quorum: get("amp_quorum")? as usize,
             deliver_quorum: get("deliver_quorum")? as usize,
         })
@@ -187,6 +192,7 @@ impl BenOrParams {
     /// `prefs[i]` is process `i`'s initial preference (must be binary).
     pub fn new(t: usize, prefs: Vec<Value>, max_rounds: u32) -> Self {
         assert!(prefs.iter().all(|&p| p <= 1), "Ben-Or is binary");
+        assert!(prefs.len() <= 64, "preferences pack into one u64");
         BenOrParams {
             n: prefs.len(),
             t,
@@ -198,11 +204,7 @@ impl BenOrParams {
     /// Consensus agreement + validity (decide only values that were
     /// somebody's input) over all processes.
     pub fn properties(&self) -> Vec<Box<dyn Property>> {
-        let all: Vec<ProcId> = (0..self.n).collect();
-        vec![
-            Box::new(Agreement::new(all.clone())),
-            Box::new(Validity::new(all, self.prefs.iter().copied())),
-        ]
+        consensus_properties(&self.prefs)
     }
 
     /// The exploration configuration binding traces back to this
@@ -216,27 +218,21 @@ impl BenOrParams {
     }
 
     fn to_params(&self) -> Vec<(String, u64)> {
-        let mask = self
-            .prefs
-            .iter()
-            .enumerate()
-            .fold(0u64, |m, (i, &p)| m | (p << i));
         vec![
             ("n".to_string(), self.n as u64),
             ("t".to_string(), self.t as u64),
-            ("prefs".to_string(), mask),
+            ("prefs".to_string(), pack(&self.prefs)),
             ("max_rounds".to_string(), u64::from(self.max_rounds)),
         ]
     }
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
-        let n = param(params, "n")? as usize;
-        let mask = param(params, "prefs")?;
+        let n = model_size(params)?;
         Ok(BenOrParams {
             n,
-            t: param(params, "t")? as usize,
-            prefs: (0..n).map(|i| (mask >> i) & 1).collect(),
-            max_rounds: param(params, "max_rounds")? as u32,
+            t: fault_budget(params, n)?,
+            prefs: binary_inputs(params, "prefs", n)?,
+            max_rounds: to_u32(param(params, "max_rounds")?)?,
         })
     }
 }
@@ -287,6 +283,7 @@ impl PaxosParams {
     /// `inputs[i]` is process `i`'s proposal (binary).
     pub fn new(inputs: Vec<Value>, timeout_ticks: u64, max_timeouts: u32) -> Self {
         assert!(inputs.iter().all(|&p| p <= 1), "keep the model binary");
+        assert!(inputs.len() <= 64, "inputs pack into one u64");
         PaxosParams {
             n: inputs.len(),
             inputs,
@@ -305,11 +302,7 @@ impl PaxosParams {
     /// Uniform agreement + validity over **all** processes: even a
     /// process that decides and then crashes binds the others.
     pub fn properties(&self) -> Vec<Box<dyn Property>> {
-        let all: Vec<ProcId> = (0..self.n).collect();
-        vec![
-            Box::new(Agreement::new(all.clone())),
-            Box::new(Validity::new(all, self.inputs.iter().copied())),
-        ]
+        consensus_properties(&self.inputs)
     }
 
     /// The exploration configuration binding traces back to this
@@ -325,14 +318,9 @@ impl PaxosParams {
     }
 
     fn to_params(&self) -> Vec<(String, u64)> {
-        let mask = self
-            .inputs
-            .iter()
-            .enumerate()
-            .fold(0u64, |m, (i, &p)| m | (p << i));
         vec![
             ("n".to_string(), self.n as u64),
-            ("inputs".to_string(), mask),
+            ("inputs".to_string(), pack(&self.inputs)),
             ("timeout_ticks".to_string(), self.timeout_ticks),
             ("max_timeouts".to_string(), u64::from(self.max_timeouts)),
             ("crash_budget".to_string(), self.crash_budget as u64),
@@ -340,13 +328,13 @@ impl PaxosParams {
     }
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
-        let n = param(params, "n")? as usize;
-        let mask = param(params, "inputs")?;
+        let n = model_size(params)?;
         Ok(PaxosParams {
             n,
-            inputs: (0..n).map(|i| (mask >> i) & 1).collect(),
-            timeout_ticks: param(params, "timeout_ticks")?,
-            max_timeouts: param(params, "max_timeouts")? as u32,
+            inputs: binary_inputs(params, "inputs", n)?,
+            // a u32 bound keeps every timer deadline far from overflow
+            timeout_ticks: u64::from(to_u32(param(params, "timeout_ticks")?)?),
+            max_timeouts: to_u32(param(params, "max_timeouts")?)?,
             crash_budget: param(params, "crash_budget")? as usize,
         })
     }
@@ -434,28 +422,15 @@ fn replay_on<M: Clone + McWords>(
                     return Err(format!("step {i}: event seq {seq} refused to dispatch"));
                 }
             }
-            Choice::Crash { proc } => net.inject_crash(*proc),
+            Choice::Crash { proc } if *proc < net.num_processes() => net.inject_crash(*proc),
+            Choice::Crash { proc } => return Err(format!("step {i}: no process {proc} to crash")),
         }
     }
     if !tap.borrow().demands().is_empty() {
         return Err("script too short: replay drew past its end".to_string());
     }
-    let decisions = net.decisions();
-    let crashed: Vec<bool> = (0..net.num_processes())
-        .map(|p| net.is_crashed(p))
-        .collect();
-    let view = StateView {
-        decisions: &decisions,
-        crashed: &crashed,
-    };
-    let violation = properties.iter().find_map(|p| {
-        p.check(&view).map(|detail| Violation {
-            property: p.name().to_string(),
-            detail,
-        })
-    });
     Ok(ReplayReport {
-        violation,
+        violation: first_violation(&net, &properties),
         events: trace.choices.len(),
     })
 }
@@ -466,6 +441,51 @@ fn param(params: &[(String, u64)], key: &str) -> Result<u64, String> {
         .find(|(k, _)| k == key)
         .map(|&(_, v)| v)
         .ok_or_else(|| format!("missing scenario parameter {key:?}"))
+}
+
+fn to_u32(v: u64) -> Result<u32, String> {
+    u32::try_from(v).map_err(|_| format!("parameter value {v} does not fit a u32"))
+}
+
+/// The process count `n`, which must lie in `1..=64` (binary inputs
+/// pack into one `u64`).
+fn model_size(params: &[(String, u64)]) -> Result<usize, String> {
+    match param(params, "n")? {
+        n @ 1..=64 => Ok(n as usize),
+        n => Err(format!("n = {n} is outside 1..=64")),
+    }
+}
+
+/// The fault budget `t`, which must be below `n`.
+fn fault_budget(params: &[(String, u64)], n: usize) -> Result<usize, String> {
+    match param(params, "t")? {
+        t if t < n as u64 => Ok(t as usize),
+        t => Err(format!("fault budget t = {t} is not below n = {n}")),
+    }
+}
+
+/// Agreement + validity against `inputs` over every process.
+fn consensus_properties(inputs: &[Value]) -> Vec<Box<dyn Property>> {
+    let all: Vec<ProcId> = (0..inputs.len()).collect();
+    vec![
+        Box::new(Agreement::new(all.clone())),
+        Box::new(Validity::new(all, inputs.iter().copied())),
+    ]
+}
+
+/// Packs binary inputs into a bit mask, input `i` at bit `i`.
+fn pack(bits: &[Value]) -> u64 {
+    bits.iter().enumerate().fold(0, |m, (i, &b)| m | (b << i))
+}
+
+/// Unpacks `n` binary inputs from the bit mask under `key`; a set bit at
+/// or above `n` is an error.
+fn binary_inputs(params: &[(String, u64)], key: &str, n: usize) -> Result<Vec<Value>, String> {
+    let mask = param(params, key)?;
+    if n < 64 && mask >> n != 0 {
+        return Err(format!("{key:?} = {mask:#x} is not {n} binary input(s)"));
+    }
+    Ok((0..n).map(|i| (mask >> i) & 1).collect())
 }
 
 #[cfg(test)]

@@ -70,10 +70,9 @@ pub use model::{
 pub use obs::{
     EventCounts, HistogramSpec, MetricsObserver, Observer, TimelineEntry, TimelineObserver,
 };
-#[allow(deprecated)]
-pub use protocols::SilentAsyncProcess;
 pub use protocols::{
-    run_hsuc, run_paxos, BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess, PaxosProcess,
+    run_hsuc, run_paxos, BenOrNoiseProcess, BenOrProcess, BrachaProcess, CrashConsensusProcess,
+    HsucProcess, PaxosProcess,
 };
 pub use retry::{RetryAdapter, RetryMsg, RetryPolicy};
 pub use runtime::{

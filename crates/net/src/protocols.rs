@@ -22,11 +22,9 @@
 //! * [`BenOrNoiseProcess`] — a Byzantine participant injecting seeded
 //!   random reports and proposals for every round it observes.
 //!
-//! The crashed-from-the-start participant that used to live here
-//! ([`SilentAsyncProcess`]) is superseded by the runtime's fault plans:
-//! `FaultPlan::crash_at_start(proc)` halts *any* process — no wrapper
-//! type needed. A deprecated alias to [`crate::runtime::IdleProcess`]
-//! remains for one release.
+//! A participant that is silent from the start needs no wrapper type:
+//! `FaultPlan::crash_at_start(proc)` halts *any* process, and
+//! [`crate::runtime::IdleProcess`] fills a genuinely inert slot.
 
 use crate::runtime::{AsyncProcess, DurableState, EventNet, NetCtx};
 use bne_byzantine::ben_or::{BenOrMsg, BenOrState};
@@ -34,7 +32,7 @@ use bne_byzantine::bracha::{BrachaMsg, BrachaState};
 use bne_byzantine::choice::SharedTap;
 use bne_byzantine::hsuc::{HsucMsg, HsucState};
 use bne_byzantine::paxos::{PaxosMsg, PaxosState};
-use bne_byzantine::{ProcId, Value};
+use bne_byzantine::{CrashConsensus, ProcId, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::Cell;
@@ -276,100 +274,118 @@ impl AsyncProcess for BenOrProcess {
     }
 }
 
-/// Deprecated name for [`crate::runtime::IdleProcess`]: crash injection
-/// is the runtime's job now — put `FaultPlan::crash_at_start(proc)` in
-/// [`crate::model::NetConfig::fault_plan`] and keep the real process.
-#[deprecated(
-    since = "0.7.0",
-    note = "use FaultPlan::crash_at_start on NetConfig (or IdleProcess for a genuinely inert slot)"
-)]
-pub type SilentAsyncProcess<M> = crate::runtime::IdleProcess<M>;
-
 /// Single-decree Paxos as an [`AsyncProcess`].
 ///
 /// Process 0 opens ballot 1 at start; every process arms a retry timer
 /// and, if still undecided when it fires, escalates to a fresh own
-/// ballot ([`PaxosState::on_timeout`]) — that timeout path is the leader
-/// failover mechanism the crash plans of `e22` exercise. Timers are
-/// staggered by process id so concurrent escalations do not duel
-/// forever under symmetric schedules.
+/// ballot ([`CrashConsensus::on_timeout`]) — that timeout path is the
+/// leader failover mechanism the crash plans of `e22` exercise.
 ///
 /// The acceptor state (promise + accepted ballot/value) is durable
 /// across planned crashes; the in-flight proposal, quorum tallies and
 /// even the learned decision are volatile and are re-learned through a
-/// fresh ballot after recovery ([`AsyncProcess::on_recover`] re-arms the
-/// timer, since pending timers are absorbed while crashed).
-pub struct PaxosProcess {
+/// fresh ballot after recovery.
+pub type PaxosProcess = CrashConsensusProcess<PaxosState>;
+
+/// Leader-driven (HSUC-style) consensus as an [`AsyncProcess`].
+///
+/// Everyone enters round 1 at start (led by process 0); an undecided
+/// process whose retry timer fires advances one round, rotating the
+/// coordinator ([`CrashConsensus::on_timeout`]). Round entry is
+/// contagious through higher-round messages, so one impatient process
+/// pulls the whole network forward — the failover path the crash plans
+/// exercise.
+///
+/// The locked estimate pair and round counter are durable across
+/// planned crashes; tallies and the decision are volatile (a recovered
+/// process re-learns from decided peers' `Decide` rebroadcasts).
+pub type HsucProcess = CrashConsensusProcess<HsucState>;
+
+/// The process shell shared by the crash-fault consensus machines
+/// ([`PaxosProcess`], [`HsucProcess`]).
+///
+/// Every process arms a retry timer at start and, while undecided,
+/// hands each firing to [`CrashConsensus::on_timeout`]. Timers are
+/// staggered by process id so concurrent escalations do not duel
+/// forever under symmetric schedules, and capped at `max_timeouts` so
+/// executions always drain. The machine's durable words survive a
+/// planned crash; [`AsyncProcess::on_recover`] re-arms the timer, since
+/// pending timers are absorbed while crashed.
+pub struct CrashConsensusProcess<S> {
     input: Value,
     timeout_ticks: u64,
     max_timeouts: u32,
     timeouts: u32,
-    state: Option<PaxosState>,
-    ballot_probe: Option<Rc<Cell<Option<u64>>>>,
+    state: Option<S>,
+    probe: Option<Rc<Cell<Option<u64>>>>,
 }
 
-impl PaxosProcess {
+impl<S: CrashConsensus> CrashConsensusProcess<S> {
     /// A participant proposing `input` when free to choose. The retry
     /// timer fires every `timeout_ticks` (staggered by id) at most
-    /// `max_timeouts` times, bounding ballot escalation so executions
-    /// always drain.
+    /// `max_timeouts` times, bounding ballot/round escalation so
+    /// executions always drain.
     pub fn new(input: Value, timeout_ticks: u64, max_timeouts: u32) -> Self {
-        PaxosProcess {
+        CrashConsensusProcess {
             input,
             timeout_ticks,
             max_timeouts,
             timeouts: 0,
             state: None,
-            ballot_probe: None,
+            probe: None,
         }
     }
 
-    /// Attaches a probe cell set to the deciding ballot the moment this
-    /// process decides (scenarios read it after the run).
-    pub fn with_ballot_probe(mut self, probe: Rc<Cell<Option<u64>>>) -> Self {
-        self.ballot_probe = Some(probe);
+    /// Attaches a probe cell set to the deciding ballot (Paxos) or round
+    /// (HSUC) the moment this process decides (scenarios read it after
+    /// the run).
+    pub fn with_probe(mut self, probe: Rc<Cell<Option<u64>>>) -> Self {
+        self.probe = Some(probe);
         self
     }
 
-    fn arm(&self, ctx: &mut NetCtx<PaxosMsg>) {
+    fn arm(&self, ctx: &mut NetCtx<S::Msg>) {
         ctx.set_timer(self.timeout_ticks + ctx.id() as u64, 0);
     }
 
-    fn flush(&mut self, out: Vec<PaxosMsg>, ctx: &mut NetCtx<PaxosMsg>) {
+    fn flush(&mut self, out: Vec<S::Msg>, ctx: &mut NetCtx<S::Msg>) {
         for m in out {
             ctx.multicast(0..ctx.n(), m);
         }
-        if let (Some(probe), Some(state)) = (&self.ballot_probe, &self.state) {
+        if let (Some(probe), Some(state)) = (&self.probe, &self.state) {
             if probe.get().is_none() {
-                probe.set(state.decided_ballot());
+                probe.set(state.decided_at());
             }
         }
     }
 
-    fn decided(&self) -> bool {
+    /// Whether a timer firing does nothing: once decided or out of retry
+    /// budget the timer neither acts nor re-arms.
+    fn spent(&self) -> bool {
         self.state.as_ref().is_some_and(|s| s.decided().is_some())
+            || self.timeouts >= self.max_timeouts
     }
 }
 
-impl AsyncProcess for PaxosProcess {
-    type Msg = PaxosMsg;
+impl<S: CrashConsensus + 'static> AsyncProcess for CrashConsensusProcess<S> {
+    type Msg = S::Msg;
 
-    fn on_start(&mut self, ctx: &mut NetCtx<PaxosMsg>) {
-        let mut state = PaxosState::new(ctx.id(), ctx.n(), self.input);
+    fn on_start(&mut self, ctx: &mut NetCtx<S::Msg>) {
+        let mut state = S::new(ctx.id(), ctx.n(), self.input);
         let out = state.start();
         self.state = Some(state);
         self.flush(out, ctx);
         self.arm(ctx);
     }
 
-    fn on_message(&mut self, src: ProcId, msg: PaxosMsg, ctx: &mut NetCtx<PaxosMsg>) {
+    fn on_message(&mut self, src: ProcId, msg: S::Msg, ctx: &mut NetCtx<S::Msg>) {
         let state = self.state.as_mut().expect("on_start ran");
         let out = state.handle(src, &msg);
         self.flush(out, ctx);
     }
 
-    fn on_timer(&mut self, _timer: u64, ctx: &mut NetCtx<PaxosMsg>) {
-        if self.decided() || self.timeouts >= self.max_timeouts {
+    fn on_timer(&mut self, _timer: u64, ctx: &mut NetCtx<S::Msg>) {
+        if self.spent() {
             return; // stop re-arming: let the execution drain
         }
         self.timeouts += 1;
@@ -378,9 +394,10 @@ impl AsyncProcess for PaxosProcess {
         self.arm(ctx);
     }
 
-    fn on_recover(&mut self, ctx: &mut NetCtx<PaxosMsg>) {
+    fn on_recover(&mut self, ctx: &mut NetCtx<S::Msg>) {
         // pending timers were absorbed while crashed: re-arm, so the
-        // next timeout runs a recovery ballot and re-learns the value
+        // next timeout runs a recovery ballot/round and re-learns the
+        // value
         self.arm(ctx);
     }
 
@@ -400,31 +417,30 @@ impl AsyncProcess for PaxosProcess {
         self.state.as_ref().and_then(|s| s.decided())
     }
 
-    // no `quiescent` override: even a decided acceptor keeps answering
-    // phase messages and re-broadcasting `Decided`, so no Paxos process
-    // is ever permanently silent while peers may still ask.
+    // no `quiescent` override: even a decided Paxos acceptor keeps
+    // answering phase messages and re-broadcasting `Decided`, so no
+    // process is ever permanently silent while peers may still ask.
     fn timer_absorbed(&self, _timer: u64) -> bool {
-        // mirrors the `on_timer` early return: once decided or out of
-        // retry budget a firing neither acts nor re-arms, and (under
-        // crash-stop faults) both conditions are permanent
-        self.decided() || self.timeouts >= self.max_timeouts
+        // mirrors the `on_timer` early return; under crash-stop faults
+        // both of its conditions are permanent
+        self.spent()
     }
 
-    fn absorbs(&self, src: ProcId, msg: &PaxosMsg) -> bool {
+    fn absorbs(&self, src: ProcId, msg: &S::Msg) -> bool {
         // sound here because the checker's faults are crash-stop
-        // (injected crashes never recover), so `PaxosState::absorbs`'s
+        // (injected crashes never recover), so the machine's
         // no-recovery caveat holds
         self.state.as_ref().is_some_and(|s| s.absorbs(src, msg))
     }
 
-    fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = PaxosMsg>>> {
-        Some(Box::new(PaxosProcess {
+    fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = S::Msg>>> {
+        Some(Box::new(CrashConsensusProcess {
             input: self.input,
             timeout_ticks: self.timeout_ticks,
             max_timeouts: self.max_timeouts,
             timeouts: self.timeouts,
             state: self.state.clone(),
-            ballot_probe: self.ballot_probe.as_ref().map(Rc::clone),
+            probe: self.probe.as_ref().map(Rc::clone),
         }))
     }
 
@@ -432,120 +448,10 @@ impl AsyncProcess for PaxosProcess {
         // the timeout counter bounds future escalations, so it is part
         // of the reachable-behavior state
         let mut out = vec![u64::from(self.state.is_some()), u64::from(self.timeouts)];
-        if let Some(state) = &self.state {
-            state.state_words(&mut out);
+        match &self.state {
+            Some(state) => state.state_words(&mut out).then_some(out),
+            None => Some(out),
         }
-        Some(out)
-    }
-}
-
-/// Leader-driven (HSUC-style) consensus as an [`AsyncProcess`].
-///
-/// Everyone enters round 1 at start (led by process 0); an undecided
-/// process whose retry timer fires advances one round, rotating the
-/// coordinator ([`HsucState::on_timeout`]). Round entry is contagious
-/// through higher-round messages, so one impatient process pulls the
-/// whole network forward — the failover path the crash plans exercise.
-///
-/// The locked estimate pair and round counter are durable across
-/// planned crashes; tallies and the decision are volatile (a recovered
-/// process re-learns from decided peers' `Decide` rebroadcasts).
-pub struct HsucProcess {
-    input: Value,
-    timeout_ticks: u64,
-    max_timeouts: u32,
-    timeouts: u32,
-    state: Option<HsucState>,
-    round_probe: Option<Rc<Cell<Option<u64>>>>,
-}
-
-impl HsucProcess {
-    /// A participant with initial estimate `input`; the retry timer
-    /// fires every `timeout_ticks` (staggered by id) at most
-    /// `max_timeouts` times.
-    pub fn new(input: Value, timeout_ticks: u64, max_timeouts: u32) -> Self {
-        HsucProcess {
-            input,
-            timeout_ticks,
-            max_timeouts,
-            timeouts: 0,
-            state: None,
-            round_probe: None,
-        }
-    }
-
-    /// Attaches a probe cell set to the deciding round the moment this
-    /// process decides.
-    pub fn with_round_probe(mut self, probe: Rc<Cell<Option<u64>>>) -> Self {
-        self.round_probe = Some(probe);
-        self
-    }
-
-    fn arm(&self, ctx: &mut NetCtx<HsucMsg>) {
-        ctx.set_timer(self.timeout_ticks + ctx.id() as u64, 0);
-    }
-
-    fn flush(&mut self, out: Vec<HsucMsg>, ctx: &mut NetCtx<HsucMsg>) {
-        for m in out {
-            ctx.multicast(0..ctx.n(), m);
-        }
-        if let (Some(probe), Some(state)) = (&self.round_probe, &self.state) {
-            if probe.get().is_none() {
-                probe.set(state.decided_round());
-            }
-        }
-    }
-
-    fn decided(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.decided().is_some())
-    }
-}
-
-impl AsyncProcess for HsucProcess {
-    type Msg = HsucMsg;
-
-    fn on_start(&mut self, ctx: &mut NetCtx<HsucMsg>) {
-        let mut state = HsucState::new(ctx.id(), ctx.n(), self.input);
-        let out = state.start();
-        self.state = Some(state);
-        self.flush(out, ctx);
-        self.arm(ctx);
-    }
-
-    fn on_message(&mut self, src: ProcId, msg: HsucMsg, ctx: &mut NetCtx<HsucMsg>) {
-        let state = self.state.as_mut().expect("on_start ran");
-        let out = state.handle(src, &msg);
-        self.flush(out, ctx);
-    }
-
-    fn on_timer(&mut self, _timer: u64, ctx: &mut NetCtx<HsucMsg>) {
-        if self.decided() || self.timeouts >= self.max_timeouts {
-            return;
-        }
-        self.timeouts += 1;
-        let out = self.state.as_mut().expect("on_start ran").on_timeout();
-        self.flush(out, ctx);
-        self.arm(ctx);
-    }
-
-    fn on_recover(&mut self, ctx: &mut NetCtx<HsucMsg>) {
-        self.arm(ctx);
-    }
-
-    fn save_durable(&self) -> Option<DurableState> {
-        self.state
-            .as_ref()
-            .map(|s| DurableState::from(s.durable_words()))
-    }
-
-    fn restore_durable(&mut self, state: &DurableState) {
-        if let Some(s) = self.state.as_mut() {
-            s.restore_durable(state.words());
-        }
-    }
-
-    fn decision(&self) -> Option<u64> {
-        self.state.as_ref().and_then(|s| s.decided())
     }
 }
 

@@ -6,25 +6,38 @@
 //! [`bne_byzantine::scenario`]'s lockstep sweeps, reporting into the same
 //! [`ProtocolStats`] aggregate so sync and async grids are directly
 //! comparable. Experiments e17–e18 are built from these scenarios.
+//!
+//! Every scenario builds its processes (round-based ones through the
+//! shared [`bne_byzantine::scenario`] replica builders), drives them on
+//! [`EventNet`] (through [`run_round_protocol`] or this module's one
+//! event-driven driver, which panics on a truncated run rather than count
+//! it as undecided), and judges the decisions with
+//! [`bne_byzantine::properties`].
 
 use crate::adapter::run_round_protocol;
 use crate::model::{
     FaultPlan, LatencyModel, LinkFaults, NetConfig, Partition, QueueImpl, SchedulerPolicy,
 };
 use crate::obs::{HistogramSpec, MetricsObserver};
-use bne_byzantine::adversary::{FaultyBehavior, FaultyProcess};
-use bne_byzantine::broadcast::{DolevStrongProcess, EquivocatingSender, SignedMessage};
-use bne_byzantine::network::Process;
-use bne_byzantine::om::{OmConfig, TraitorStrategy};
+use crate::protocols::{BenOrNoiseProcess, BenOrProcess, BrachaProcess, CrashConsensusProcess};
+use crate::retry::{RetryAdapter, RetryMsg, RetryPolicy};
+use crate::runtime::{AsyncProcess, EventNet, IdleProcess, NetStats};
+use bne_byzantine::adversary::FaultyBehavior;
+use bne_byzantine::broadcast::DolevStrongProcess;
+use bne_byzantine::om::TraitorStrategy;
 use bne_byzantine::om_process::{om_colluding_process_set, om_process_set, OmProcess};
-use bne_byzantine::phase_king::PhaseKingProcess;
-use bne_byzantine::properties::{check_agreement, check_validity};
-use bne_byzantine::scenario::ProtocolStats;
-use bne_byzantine::{ProcId, Value};
-use bne_crypto::pki::PublicKeyInfrastructure;
+use bne_byzantine::properties::{rb_report, report, uniform_report, AgreementReport};
+use bne_byzantine::scenario::{
+    dolev_strong_replica, om_replica_config, phase_king_replica, Judge, ProtocolStats, Replica,
+};
+use bne_byzantine::{
+    BenOrMsg, BrachaMsg, CrashConsensus, HsucState, PaxosState, PhaseKingProcess, ProcId, Value,
+};
 use bne_sim::{derive_seed, Histogram, Merge, Scenario, StreamingStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Stream tag separating a replica's *network* seed from the seed used
 /// for protocol inputs (commander orders, initial preferences).
@@ -35,6 +48,79 @@ const STREAM_COIN: u64 = 12;
 const STREAM_COLLUSION: u64 = 13;
 /// Stream tag for Byzantine noise-process seeds.
 const STREAM_NOISE: u64 = 14;
+
+/// Events an event-driven run may process before it counts as truncated.
+const MAX_EVENTS: usize = 20_000_000;
+
+/// The replica's network seed.
+fn net_seed(seed: u64) -> u64 {
+    derive_seed(seed, STREAM_NET_SEED, 0)
+}
+
+/// What one event-driven run left behind once its queue drained.
+struct Run {
+    decisions: Vec<Option<Value>>,
+    times: Vec<Option<u64>>,
+    stats: NetStats,
+    latency: Option<Histogram>,
+}
+
+impl Run {
+    /// The latest decision time among the processes `mask` selects.
+    fn last_decision(&self, mask: &[bool]) -> u64 {
+        self.times
+            .iter()
+            .zip(mask)
+            .filter_map(|(t, &m)| t.filter(|_| m))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// The one driver of the event-driven scenarios: runs `procs` on `cfg` to
+/// quiescence, with a [`MetricsObserver`] attached when `latency_hist` is
+/// set.
+///
+/// # Panics
+///
+/// Panics if the queue has not drained after [`MAX_EVENTS`] events: a
+/// truncated run would otherwise be counted as an undecided replica.
+fn drive<M: Clone>(
+    protocol: &str,
+    procs: Vec<Box<dyn AsyncProcess<Msg = M>>>,
+    cfg: NetConfig,
+    latency_hist: Option<&HistogramSpec>,
+) -> Run {
+    let obs =
+        latency_hist.map(|spec| Rc::new(RefCell::new(MetricsObserver::new(procs.len(), spec))));
+    let mut net = match &obs {
+        Some(o) => EventNet::with_observer(procs, cfg, Box::new(Rc::clone(o))),
+        None => EventNet::new(procs, cfg),
+    };
+    assert!(
+        net.run(MAX_EVENTS),
+        "{protocol} event queue did not drain within {MAX_EVENTS} events"
+    );
+    Run {
+        decisions: net.decisions(),
+        times: net.decision_times().to_vec(),
+        stats: net.stats(),
+        latency: obs.map(|o| o.borrow().merged_latency().clone()),
+    }
+}
+
+/// Drives one round-based replica on the event runtime under `net` and
+/// judges it.
+fn run_rounds<M: Clone + 'static>(
+    replica: Replica<M>,
+    rounds: usize,
+    net: &NetProfile,
+    seed: u64,
+) -> ProtocolStats {
+    let Replica { processes, judge } = replica;
+    let outcome = run_round_protocol(processes, rounds, net.config(net_seed(seed), &judge.faulty));
+    judge.stats(&outcome.decisions, outcome.stats.messages_sent)
+}
 
 /// A scheduler choice that does not yet know which processes are
 /// Byzantine — scenarios materialize it per replica once the fault set is
@@ -192,46 +278,19 @@ impl Scenario for AsyncOmScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &AsyncOmCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let commander_value: Value = rng.random_range(0..2u64);
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let traitors: BTreeSet<usize> = if cell.commander_faulty {
-            (0..cell.t).collect()
-        } else {
-            (1..=cell.t).collect()
-        };
-        let config = OmConfig {
-            n: cell.n,
-            m: cell.t,
-            commander_value,
-            traitors: traitors.clone(),
-            strategy: cell.strategy,
-            default_value: 0,
-        };
+        let config = om_replica_config(cell.n, cell.t, cell.strategy, cell.commander_faulty, seed);
         let processes = if cell.colluding {
             om_colluding_process_set(&config, derive_seed(seed, STREAM_COLLUSION, 0))
         } else {
             om_process_set(&config)
         };
-        let outcome = run_round_protocol(
-            processes,
+        let judge = Judge::om(&config);
+        run_rounds(
+            Replica { processes, judge },
             OmProcess::rounds_needed(config.m),
-            cell.net.config(net_seed, &traitors),
-        );
-        // the correctness conditions constrain the honest lieutenants
-        let honest: Vec<bool> = (0..cell.n)
-            .map(|i| i != 0 && !traitors.contains(&i))
-            .collect();
-        let decided = outcome
-            .decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&outcome.decisions, &honest);
-        let validity =
-            traitors.contains(&0) || check_validity(&outcome.decisions, &honest, commander_value);
-        ProtocolStats::of_run(decided, agreement, validity, outcome.stats.messages_sent)
+            &cell.net,
+            seed,
+        )
     }
 }
 
@@ -292,47 +351,12 @@ impl Scenario for AsyncPhaseKingScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &AsyncPhaseKingCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let honest_count = cell.n - cell.t;
-        let common: Value = rng.random_range(0..2u64);
-        let initials: Vec<Value> = (0..honest_count)
-            .map(|_| {
-                if cell.unanimous_start {
-                    common
-                } else {
-                    rng.random_range(0..2u64)
-                }
-            })
-            .collect();
-        let mut processes: Vec<Box<dyn Process<Msg = Value>>> = initials
-            .iter()
-            .map(|&v| Box::new(PhaseKingProcess::new(v, cell.t)) as Box<dyn Process<Msg = Value>>)
-            .collect();
-        for _ in 0..cell.t {
-            let behavior = cell.behavior.with_seed(rng.random::<u64>());
-            processes.push(Box::new(FaultyProcess::new(behavior)));
-        }
-        let byzantine: BTreeSet<ProcId> = (honest_count..cell.n).collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let outcome = run_round_protocol(
-            processes,
+        run_rounds(
+            phase_king_replica(cell.n, cell.t, &cell.behavior, cell.unanimous_start, seed),
             PhaseKingProcess::rounds_needed(cell.t),
-            cell.net.config(net_seed, &byzantine),
-        );
-        let honest: Vec<bool> = (0..cell.n).map(|i| i < honest_count).collect();
-        let decided = outcome
-            .decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&outcome.decisions, &honest);
-        let validity = if cell.unanimous_start {
-            check_validity(&outcome.decisions, &honest, common)
-        } else {
-            true
-        };
-        ProtocolStats::of_run(decided, agreement, validity, outcome.stats.messages_sent)
+            &cell.net,
+            seed,
+        )
     }
 }
 
@@ -401,51 +425,12 @@ impl Scenario for AsyncBroadcastScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &AsyncBroadcastCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (pki, keys) = PublicKeyInfrastructure::setup(cell.n, &mut rng);
-        let input: Value = rng.random_range(0..2u64);
-        let mut processes: Vec<Box<dyn Process<Msg = SignedMessage>>> = Vec::new();
-        for i in 0..cell.n {
-            if i == 0 && cell.equivocating_sender {
-                processes.push(Box::new(EquivocatingSender::new(keys[0])));
-            } else {
-                processes.push(Box::new(DolevStrongProcess::new(
-                    0,
-                    input,
-                    cell.t,
-                    pki.clone(),
-                    keys[i],
-                    0,
-                )));
-            }
-        }
-        let byzantine: BTreeSet<ProcId> = if cell.equivocating_sender {
-            [0].into_iter().collect()
-        } else {
-            BTreeSet::new()
-        };
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let outcome = run_round_protocol(
-            processes,
+        run_rounds(
+            dolev_strong_replica(cell.n, cell.t, cell.equivocating_sender, seed),
             DolevStrongProcess::rounds_needed(cell.t),
-            cell.net.config(net_seed, &byzantine),
-        );
-        let honest: Vec<bool> = (0..cell.n)
-            .map(|i| i != 0 || !cell.equivocating_sender)
-            .collect();
-        let decided = outcome
-            .decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&outcome.decisions, &honest);
-        let validity = if cell.equivocating_sender {
-            true
-        } else {
-            check_validity(&outcome.decisions, &honest, input)
-        };
-        ProtocolStats::of_run(decided, agreement, validity, outcome.stats.messages_sent)
+            &cell.net,
+            seed,
+        )
     }
 }
 
@@ -469,24 +454,35 @@ pub fn async_broadcast_partition_grid(
     heal_times: &[u64],
     round_ticks: u64,
 ) -> Vec<AsyncBroadcastCell> {
-    let make_cell = |n: usize, t: usize, partition: Option<Partition>| AsyncBroadcastCell {
-        n,
-        t,
-        equivocating_sender: false,
-        net: NetProfile {
-            faults: LinkFaults {
-                drop_prob: 0.0,
-                partition,
-            }
-            .into(),
-            round_ticks,
-            ..NetProfile::lockstep()
-        },
-    };
-    let mut grid = Vec::new();
-    for &(n, t) in cells {
-        grid.push(make_cell(n, t, None)); // the no-partition baseline
-    }
+    partition_sweep(cells, durations, heal_times)
+        .into_iter()
+        .map(|(n, t, partition)| AsyncBroadcastCell {
+            n,
+            t,
+            equivocating_sender: false,
+            net: NetProfile {
+                faults: LinkFaults {
+                    drop_prob: 0.0,
+                    partition,
+                }
+                .into(),
+                round_ticks,
+                ..NetProfile::lockstep()
+            },
+        })
+        .collect()
+}
+
+/// The `(n, t, partition)` cells of a half/half partition sweep: one
+/// no-partition baseline per `(n, t)`, then, per untruncated
+/// `(duration, heal time)` pair, the window cutting off the first `n / 2`
+/// processes.
+fn partition_sweep(
+    cells: &[(usize, usize)],
+    durations: &[u64],
+    heal_times: &[u64],
+) -> Vec<(usize, usize, Option<Partition>)> {
+    let mut sweep: Vec<_> = cells.iter().map(|&(n, t)| (n, t, None)).collect();
     for &duration in durations {
         for &heal_at in heal_times {
             if duration == 0 || duration > heal_at {
@@ -494,15 +490,12 @@ pub fn async_broadcast_partition_grid(
             }
             for &(n, t) in cells {
                 let group: BTreeSet<ProcId> = (0..n / 2).collect();
-                grid.push(make_cell(
-                    n,
-                    t,
-                    Some(Partition::window(group, heal_at - duration, heal_at)),
-                ));
+                let window = Partition::window(group, heal_at - duration, heal_at);
+                sweep.push((n, t, Some(window)));
             }
         }
     }
-    grid
+    sweep
 }
 
 // ---------------------------------------------------------------------------
@@ -543,6 +536,34 @@ pub struct ConsensusStats {
     /// [`NetProfile::latency_hist`] is set; `None` merges as identity, so
     /// grids mixing it on and off stay well-defined per cell.
     pub latency: Option<Histogram>,
+}
+
+impl ConsensusStats {
+    /// Summarizes one consensus run judged by `report`. The rounds
+    /// reading and the decide time (the latest decision among the
+    /// `obligated` processes) are recorded only when every obligated
+    /// process decided.
+    fn of_run(report: AgreementReport, obligated: &[bool], rounds: Option<f64>, run: Run) -> Self {
+        let (rounds, decide_time) = if report.all_decided {
+            (
+                rounds.map(StreamingStats::of).unwrap_or_default(),
+                StreamingStats::of(run.last_decision(obligated) as f64),
+            )
+        } else {
+            (StreamingStats::new(), StreamingStats::new())
+        };
+        ConsensusStats {
+            decided: StreamingStats::of(f64::from(u8::from(report.all_decided))),
+            agreement: StreamingStats::of(f64::from(u8::from(report.agreement))),
+            validity: StreamingStats::of(f64::from(u8::from(report.validity))),
+            rounds,
+            decide_time,
+            messages: StreamingStats::of(run.stats.messages_sent as f64),
+            events: StreamingStats::of(run.stats.events_processed as f64),
+            timers: StreamingStats::of(run.stats.timers_fired as f64),
+            latency: run.latency,
+        }
+    }
 }
 
 impl Merge for ConsensusStats {
@@ -591,19 +612,13 @@ impl Scenario for BenOrScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &BenOrCell, seed: u64) -> ConsensusStats {
-        use crate::protocols::{BenOrNoiseProcess, BenOrProcess};
-        use crate::runtime::IdleProcess;
-        use std::cell::Cell;
-        use std::rc::Rc;
-
         let mut rng = StdRng::seed_from_u64(seed);
         let honest_count = cell.n - cell.faults;
         let common: Value = rng.random_range(0..2u64);
         let probes: Vec<Rc<Cell<Option<u32>>>> = (0..honest_count)
             .map(|_| Rc::new(Cell::new(None)))
             .collect();
-        let mut procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = bne_byzantine::BenOrMsg>>> =
-            Vec::with_capacity(cell.n);
+        let mut procs: Vec<Box<dyn AsyncProcess<Msg = BenOrMsg>>> = Vec::with_capacity(cell.n);
         for (i, probe) in probes.iter().enumerate() {
             let pref = if cell.unanimous_start {
                 common
@@ -629,64 +644,26 @@ impl Scenario for BenOrScenario {
                 ))));
             } else {
                 // a silent adversary is a crash fault: an inert slot
-                // crashed at start by the runtime's fault plan (the
-                // per-protocol SilentAsyncProcess wrapper is gone)
+                // crashed at start by the runtime's fault plan
                 procs.push(Box::new(IdleProcess::new()));
             }
         }
         let byzantine: BTreeSet<ProcId> = (honest_count..cell.n).collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let mut cfg = cell.net.config(net_seed, &byzantine);
+        let mut cfg = cell.net.config(net_seed(seed), &byzantine);
         if !cell.noisy {
             for i in honest_count..cell.n {
                 cfg.faults = std::mem::take(&mut cfg.faults).crash_at_start(i);
             }
         }
-        let obs = cell
-            .net
-            .latency_hist
-            .as_ref()
-            .map(|spec| Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec))));
-        let mut net = match &obs {
-            Some(o) => crate::runtime::EventNet::with_observer(procs, cfg, Box::new(Rc::clone(o))),
-            None => crate::runtime::EventNet::new(procs, cfg),
-        };
-        let drained = net.run(20_000_000);
-        debug_assert!(drained, "Ben-Or event queue failed to drain");
-        let decisions = net.decisions();
+        let run = drive("ben-or", procs, cfg, cell.net.latency_hist.as_ref());
         let honest: Vec<bool> = (0..cell.n).map(|i| i < honest_count).collect();
-        let decided = decisions[..honest_count].iter().all(|d| d.is_some());
-        let agreement = check_agreement(&decisions, &honest);
-        let validity = if cell.unanimous_start {
-            check_validity(&decisions, &honest, common)
-        } else {
-            true
-        };
-        let (rounds, decide_time) = if decided {
-            let max_round = probes.iter().filter_map(|p| p.get()).max().unwrap_or(0);
-            let max_time = net.decision_times()[..honest_count]
-                .iter()
-                .filter_map(|t| *t)
-                .max()
-                .unwrap_or(0);
-            (
-                StreamingStats::of(f64::from(max_round)),
-                StreamingStats::of(max_time as f64),
-            )
-        } else {
-            (StreamingStats::new(), StreamingStats::new())
-        };
-        ConsensusStats {
-            decided: StreamingStats::of(f64::from(u8::from(decided))),
-            agreement: StreamingStats::of(f64::from(u8::from(agreement))),
-            validity: StreamingStats::of(f64::from(u8::from(validity))),
-            rounds,
-            decide_time,
-            messages: StreamingStats::of(net.stats().messages_sent as f64),
-            events: StreamingStats::of(net.stats().events_processed as f64),
-            timers: StreamingStats::of(net.stats().timers_fired as f64),
-            latency: obs.map(|o| o.borrow().merged_latency().clone()),
-        }
+        let judged = report(
+            &run.decisions,
+            &honest,
+            cell.unanimous_start.then_some(common),
+        );
+        let max_round = probes.iter().filter_map(|p| p.get()).max().unwrap_or(0);
+        ConsensusStats::of_run(judged, &honest, Some(f64::from(max_round)), run)
     }
 }
 
@@ -787,7 +764,7 @@ pub struct AsyncBrachaCell {
     pub t: usize,
     /// Retransmission policy; `None` runs the bare protocol (the e19
     /// regime where whatever the partition eats stays lost).
-    pub retry: Option<crate::retry::RetryPolicy>,
+    pub retry: Option<RetryPolicy>,
     /// Network conditions.
     pub net: NetProfile,
 }
@@ -802,93 +779,53 @@ impl Scenario for AsyncBrachaScenario {
     type Outcome = RbStats;
 
     fn run(&self, cell: &AsyncBrachaCell, seed: u64) -> RbStats {
-        use crate::protocols::BrachaProcess;
-        use crate::retry::{RetryAdapter, RetryMsg};
-        use bne_byzantine::bracha::BrachaMsg;
-        use bne_byzantine::properties::rb_report;
-
-        /// Runs any process set to quiescence and extracts the outcome
-        /// fields — one definition for both arms, so the event bound and
-        /// the extraction can never diverge between them.
-        fn drive<M: Clone>(
-            procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = M>>>,
-            cfg: NetConfig,
-            obs: Option<&std::rc::Rc<std::cell::RefCell<MetricsObserver>>>,
-        ) -> (
-            Vec<Option<Value>>,
-            Vec<Option<u64>>,
-            crate::runtime::NetStats,
-            bool,
-        ) {
-            let mut net = match obs {
-                Some(o) => crate::runtime::EventNet::with_observer(
-                    procs,
-                    cfg,
-                    Box::new(std::rc::Rc::clone(o)),
-                ),
-                None => crate::runtime::EventNet::new(procs, cfg),
-            };
-            let drained = net.run(20_000_000);
-            (
-                net.decisions(),
-                net.decision_times().to_vec(),
-                net.stats(),
-                drained,
-            )
-        }
-
         let mut rng = StdRng::seed_from_u64(seed);
         let input: Value = rng.random_range(0..2u64);
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let cfg = cell.net.config(net_seed, &BTreeSet::new());
+        let cfg = cell.net.config(net_seed(seed), &BTreeSet::new());
+        let hist = cell.net.latency_hist.as_ref();
         // one shared counter across all adapters: total retransmissions
         // stay readable after the adapters are boxed behind the trait
-        let retrans_probe = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        let obs = cell.net.latency_hist.as_ref().map(|spec| {
-            std::rc::Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec)))
-        });
-        let (decisions, times, stats, drained) = match cell.retry {
+        let retrans_probe = Rc::new(Cell::new(0u64));
+        let bracha = || BrachaProcess::new(cell.t, 0, input);
+        let run = match cell.retry {
             None => drive::<BrachaMsg>(
-                (0..cell.n)
-                    .map(|_| Box::new(BrachaProcess::new(cell.t, 0, input)) as _)
-                    .collect(),
+                "bracha",
+                (0..cell.n).map(|_| Box::new(bracha()) as _).collect(),
                 cfg,
-                obs.as_ref(),
+                hist,
             ),
             Some(policy) => drive::<RetryMsg<BrachaMsg>>(
+                "bracha",
                 (0..cell.n)
                     .map(|_| {
                         Box::new(
-                            RetryAdapter::new(BrachaProcess::new(cell.t, 0, input), policy)
-                                .with_probe(std::rc::Rc::clone(&retrans_probe)),
+                            RetryAdapter::new(bracha(), policy)
+                                .with_probe(Rc::clone(&retrans_probe)),
                         ) as _
                     })
                     .collect(),
                 cfg,
-                obs.as_ref(),
+                hist,
             ),
         };
-        debug_assert!(drained, "Bracha event queue failed to drain");
-        let honest = vec![true; cell.n];
-        let report = rb_report(&decisions, &honest, Some(input));
-        let delivered = decisions.iter().all(|d| d.is_some());
-        let deliver_time = if delivered {
-            let max_time = times.iter().filter_map(|t| *t).max().unwrap_or(0);
-            StreamingStats::of(max_time as f64)
+        let everyone = vec![true; cell.n];
+        let judged = rb_report(&run.decisions, &everyone, Some(input));
+        let deliver_time = if judged.all_delivered {
+            StreamingStats::of(run.last_decision(&everyone) as f64)
         } else {
             StreamingStats::new()
         };
         RbStats {
-            delivered: StreamingStats::of(f64::from(u8::from(delivered))),
-            agreement: StreamingStats::of(f64::from(u8::from(report.agreement))),
-            validity: StreamingStats::of(f64::from(u8::from(report.validity))),
-            totality: StreamingStats::of(f64::from(u8::from(report.totality))),
+            delivered: StreamingStats::of(f64::from(u8::from(judged.all_delivered))),
+            agreement: StreamingStats::of(f64::from(u8::from(judged.agreement))),
+            validity: StreamingStats::of(f64::from(u8::from(judged.validity))),
+            totality: StreamingStats::of(f64::from(u8::from(judged.totality))),
             deliver_time,
-            messages: StreamingStats::of(stats.messages_sent as f64),
-            events: StreamingStats::of(stats.events_processed as f64),
+            messages: StreamingStats::of(run.stats.messages_sent as f64),
+            events: StreamingStats::of(run.stats.events_processed as f64),
             retransmissions: StreamingStats::of(retrans_probe.get() as f64),
-            timers: StreamingStats::of(stats.timers_fired as f64),
-            latency: obs.map(|o| o.borrow().merged_latency().clone()),
+            timers: StreamingStats::of(run.stats.timers_fired as f64),
+            latency: run.latency,
         }
     }
 }
@@ -905,48 +842,28 @@ pub fn bracha_partition_grid(
     cells: &[(usize, usize)],
     durations: &[u64],
     heal_times: &[u64],
-    retries: &[Option<crate::retry::RetryPolicy>],
+    retries: &[Option<RetryPolicy>],
 ) -> Vec<AsyncBrachaCell> {
-    let make_cell = |n: usize,
-                     t: usize,
-                     retry: Option<crate::retry::RetryPolicy>,
-                     partition: Option<Partition>| AsyncBrachaCell {
-        n,
-        t,
-        retry,
-        net: NetProfile {
-            latency: LatencyModel::Constant(1),
-            faults: LinkFaults {
-                drop_prob: 0.0,
-                partition,
-            }
-            .into(),
-            ..NetProfile::lockstep()
-        },
-    };
-    let mut grid = Vec::new();
-    for &retry in retries {
-        for &(n, t) in cells {
-            grid.push(make_cell(n, t, retry, None));
-        }
-        for &duration in durations {
-            for &heal_at in heal_times {
-                if duration == 0 || duration > heal_at {
-                    continue;
-                }
-                for &(n, t) in cells {
-                    let group: BTreeSet<ProcId> = (0..n / 2).collect();
-                    grid.push(make_cell(
-                        n,
-                        t,
-                        retry,
-                        Some(Partition::window(group, heal_at - duration, heal_at)),
-                    ));
-                }
-            }
-        }
-    }
-    grid
+    let sweep = partition_sweep(cells, durations, heal_times);
+    retries
+        .iter()
+        .flat_map(|&retry| {
+            sweep.iter().map(move |(n, t, partition)| AsyncBrachaCell {
+                n: *n,
+                t: *t,
+                retry,
+                net: NetProfile {
+                    latency: LatencyModel::Constant(1),
+                    faults: LinkFaults {
+                        drop_prob: 0.0,
+                        partition: partition.clone(),
+                    }
+                    .into(),
+                    ..NetProfile::lockstep()
+                },
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1021,59 +938,38 @@ pub struct QuorumConsensusCell {
 }
 
 impl QuorumConsensusCell {
-    #[allow(clippy::too_many_arguments)]
-    fn run_common(
-        &self,
-        decisions: Vec<Option<Value>>,
-        times: &[Option<u64>],
-        rounds: Option<f64>,
-        stats: crate::runtime::NetStats,
-        inputs: &[Value],
-        drained: bool,
-        latency: Option<Histogram>,
-    ) -> ConsensusStats {
-        debug_assert!(drained, "consensus event queue failed to drain");
+    /// The run shared by [`PaxosScenario`] and [`HsucScenario`]: process
+    /// `i` runs machine `S` on a seed-drawn input, and the run is judged by
+    /// uniform agreement and input validity.
+    fn run_with<S: CrashConsensus + 'static>(&self, protocol: &str, seed: u64) -> ConsensusStats {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inputs: Vec<Value> = (0..self.n).map(|_| rng.random_range(0..100u64)).collect();
+        let probes: Vec<Rc<Cell<Option<u64>>>> =
+            (0..self.n).map(|_| Rc::new(Cell::new(None))).collect();
+        let procs = inputs
+            .iter()
+            .zip(&probes)
+            .map(|(&v, probe)| {
+                Box::new(
+                    CrashConsensusProcess::<S>::new(v, self.timeout_ticks, self.max_timeouts)
+                        .with_probe(Rc::clone(probe)),
+                ) as _
+            })
+            .collect();
+        let mut cfg = self.net.config(net_seed(seed), &BTreeSet::new());
+        cfg.faults = self.crash.apply(std::mem::take(&mut cfg.faults));
+        let run = drive(protocol, procs, cfg, self.net.latency_hist.as_ref());
         // a permanently crashed process is exempt from deciding; a
         // *recovered* one is not — that is the whole point of recovery
         let exempt = self.crash.apply(FaultPlan::none()).permanently_crashed();
-        let obligated: Vec<usize> = (0..self.n).filter(|i| !exempt.contains(i)).collect();
-        let decided = obligated.iter().all(|&i| decisions[i].is_some());
-        let values: BTreeSet<Value> = decisions.iter().filter_map(|d| *d).collect();
-        // agreement over ALL decisions ever made (safety: no two decided
-        // values, crashed or not); validity: the decided value is some
-        // process's input
-        let agreement = values.len() <= 1;
-        let validity = values.iter().all(|v| inputs.contains(v));
-        let (rounds, decide_time) = if decided {
-            let max_time = obligated
-                .iter()
-                .filter_map(|&i| times[i])
-                .max()
-                .unwrap_or(0);
-            (
-                rounds.map(StreamingStats::of).unwrap_or_default(),
-                StreamingStats::of(max_time as f64),
-            )
-        } else {
-            (StreamingStats::new(), StreamingStats::new())
-        };
-        ConsensusStats {
-            decided: StreamingStats::of(f64::from(u8::from(decided))),
-            agreement: StreamingStats::of(f64::from(u8::from(agreement))),
-            validity: StreamingStats::of(f64::from(u8::from(validity))),
-            rounds,
-            decide_time,
-            messages: StreamingStats::of(stats.messages_sent as f64),
-            events: StreamingStats::of(stats.events_processed as f64),
-            timers: StreamingStats::of(stats.timers_fired as f64),
-            latency,
-        }
-    }
-
-    fn config(&self, seed: u64) -> NetConfig {
-        let mut cfg = self.net.config(seed, &BTreeSet::new());
-        cfg.faults = self.crash.apply(std::mem::take(&mut cfg.faults));
-        cfg
+        let obligated: Vec<bool> = (0..self.n).map(|i| !exempt.contains(&i)).collect();
+        let judged = uniform_report(&run.decisions, &obligated, &inputs);
+        let rounds = probes
+            .iter()
+            .filter_map(|p| p.get())
+            .max()
+            .map(|r| r as f64);
+        ConsensusStats::of_run(judged, &obligated, rounds, run)
     }
 }
 
@@ -1090,54 +986,7 @@ impl Scenario for PaxosScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &QuorumConsensusCell, seed: u64) -> ConsensusStats {
-        use crate::protocols::PaxosProcess;
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Value> = (0..cell.n).map(|_| rng.random_range(0..100u64)).collect();
-        let probes: Vec<Rc<Cell<Option<u64>>>> =
-            (0..cell.n).map(|_| Rc::new(Cell::new(None))).collect();
-        let procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = bne_byzantine::PaxosMsg>>> =
-            inputs
-                .iter()
-                .zip(&probes)
-                .map(|(&v, probe)| {
-                    Box::new(
-                        PaxosProcess::new(v, cell.timeout_ticks, cell.max_timeouts)
-                            .with_ballot_probe(Rc::clone(probe)),
-                    ) as _
-                })
-                .collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let obs = cell
-            .net
-            .latency_hist
-            .as_ref()
-            .map(|spec| Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec))));
-        let mut net = match &obs {
-            Some(o) => crate::runtime::EventNet::with_observer(
-                procs,
-                cell.config(net_seed),
-                Box::new(Rc::clone(o)),
-            ),
-            None => crate::runtime::EventNet::new(procs, cell.config(net_seed)),
-        };
-        let drained = net.run(20_000_000);
-        let rounds = probes
-            .iter()
-            .filter_map(|p| p.get())
-            .max()
-            .map(|b| b as f64);
-        cell.run_common(
-            net.decisions(),
-            net.decision_times(),
-            rounds,
-            net.stats(),
-            &inputs,
-            drained,
-            obs.map(|o| o.borrow().merged_latency().clone()),
-        )
+        cell.run_with::<PaxosState>("paxos", seed)
     }
 }
 
@@ -1153,54 +1002,7 @@ impl Scenario for HsucScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &QuorumConsensusCell, seed: u64) -> ConsensusStats {
-        use crate::protocols::HsucProcess;
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Value> = (0..cell.n).map(|_| rng.random_range(0..100u64)).collect();
-        let probes: Vec<Rc<Cell<Option<u64>>>> =
-            (0..cell.n).map(|_| Rc::new(Cell::new(None))).collect();
-        let procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = bne_byzantine::HsucMsg>>> =
-            inputs
-                .iter()
-                .zip(&probes)
-                .map(|(&v, probe)| {
-                    Box::new(
-                        HsucProcess::new(v, cell.timeout_ticks, cell.max_timeouts)
-                            .with_round_probe(Rc::clone(probe)),
-                    ) as _
-                })
-                .collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let obs = cell
-            .net
-            .latency_hist
-            .as_ref()
-            .map(|spec| Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec))));
-        let mut net = match &obs {
-            Some(o) => crate::runtime::EventNet::with_observer(
-                procs,
-                cell.config(net_seed),
-                Box::new(Rc::clone(o)),
-            ),
-            None => crate::runtime::EventNet::new(procs, cell.config(net_seed)),
-        };
-        let drained = net.run(20_000_000);
-        let rounds = probes
-            .iter()
-            .filter_map(|p| p.get())
-            .max()
-            .map(|r| r as f64);
-        cell.run_common(
-            net.decisions(),
-            net.decision_times(),
-            rounds,
-            net.stats(),
-            &inputs,
-            drained,
-            obs.map(|o| o.borrow().merged_latency().clone()),
-        )
+        cell.run_with::<HsucState>("hsuc", seed)
     }
 }
 
@@ -1458,7 +1260,7 @@ mod tests {
         // the e21 acceptance shape in miniature: a cut covering Bracha's
         // whole init→echo→ready pipeline is fatal bare, survived with
         // retransmission at a measurable latency cost
-        let retry = Some(crate::retry::RetryPolicy::exponential(2));
+        let retry = Some(RetryPolicy::exponential(2));
         let grid = bracha_partition_grid(&[(6, 1)], &[4], &[4], &[None, retry]);
         assert_eq!(grid.len(), 4, "baseline + window, two arms");
         let results = SimRunner::new(16, 2_121).run_sequential(&AsyncBrachaScenario, &grid);

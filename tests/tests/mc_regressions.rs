@@ -82,3 +82,27 @@ fn corpus_traces_survive_a_serialization_round_trip() {
         );
     }
 }
+
+#[test]
+fn malformed_traces_are_refused_not_panicked_on() {
+    // each of these once panicked (or silently mis-decoded) inside
+    // `replay_trace`; they must come back as `Err`
+    let crafted = [
+        // a liar with nobody left to be honest
+        r#"{"scenario":"bracha","params":{"n":0,"t":0,"input":1,"liar":1,"amp_quorum":1,"deliver_quorum":1},"script":[],"choices":[],"property":"validity","detail":""}"#,
+        // more preferences than the u64 mask holds
+        r#"{"scenario":"ben_or","params":{"n":70,"t":1,"prefs":0,"max_rounds":2},"script":[],"choices":[],"property":"agreement","detail":""}"#,
+        // a crash of a process the model does not have
+        r#"{"scenario":"paxos","params":{"n":3,"inputs":3,"timeout_ticks":8,"max_timeouts":1,"crash_budget":1},"script":[],"choices":[{"kind":"crash","proc":9}],"property":"agreement","detail":""}"#,
+        // a fault budget whose quorums overflow
+        r#"{"scenario":"bracha","params":{"n":4,"t":18446744073709551615,"input":1,"liar":0,"amp_quorum":2,"deliver_quorum":3},"script":[],"choices":[],"property":"validity","detail":""}"#,
+    ];
+    for json in crafted {
+        let trace = CounterexampleTrace::from_json(json)
+            .unwrap_or_else(|e| panic!("crafted trace must parse: {e}\n{json}"));
+        assert!(
+            replay_trace(&trace).is_err(),
+            "replay must refuse the trace instead of running it: {json}"
+        );
+    }
+}

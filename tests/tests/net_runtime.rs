@@ -4,6 +4,9 @@
 //!   the async runtime reproduces `SyncNetwork` bit-identically
 //!   (decisions, round counts, messages_sent) for OM and phase king
 //!   across proptest-generated `(n, t, seed)` grids;
+//! * **scenario lockstep equality** — the async phase-king and
+//!   Dolev–Strong scenarios at `NetProfile::lockstep()` report the same
+//!   statistics as their sync counterparts;
 //! * **determinism** — the same `(config, seed)` yields an identical
 //!   event trace, with scheduler seeds derived via the bijective
 //!   `bne_sim::derive_seed` convention.
@@ -13,12 +16,19 @@ use bne_core::byzantine::network::{Process, SyncNetwork};
 use bne_core::byzantine::om::{OmConfig, TraitorStrategy};
 use bne_core::byzantine::om_process::{om_process_set, OmProcess};
 use bne_core::byzantine::phase_king::PhaseKingProcess;
+use bne_core::byzantine::scenario::{
+    BroadcastCell, BroadcastScenario, PhaseKingCell, PhaseKingScenario,
+};
 use bne_core::byzantine::Value;
+use bne_core::net::scenario::{
+    AsyncBroadcastCell, AsyncBroadcastScenario, AsyncPhaseKingCell, AsyncPhaseKingScenario,
+    NetProfile,
+};
 use bne_core::net::{
     run_round_protocol, AsyncProcess, EventNet, LatencyModel, LinkFaults, NetConfig, RoundAdapter,
     SchedulerPolicy,
 };
-use bne_core::sim::derive_seed;
+use bne_core::sim::{derive_seed, Scenario};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::BTreeSet;
@@ -135,6 +145,51 @@ proptest! {
         prop_assert_eq!(sync.decisions(), async_out.decisions.clone());
         prop_assert_eq!(sync.stats().messages_sent, async_out.stats.messages_sent);
         prop_assert_eq!(sync.stats().rounds, async_out.rounds);
+    }
+
+    /// At the lockstep profile the async phase-king and Dolev–Strong
+    /// scenarios report exactly the statistics of their sync
+    /// counterparts: both sides build the replica through the same
+    /// `bne_byzantine::scenario` builder, so only the network differs.
+    #[test]
+    fn lockstep_async_scenarios_equal_sync_scenarios(
+        large in 0u8..2,
+        unanimous_bit in 0u8..2,
+        faulty_bit in 0u8..2,
+        seed in 0u64..200,
+    ) {
+        let (n, t) = if large == 1 { (9, 2) } else { (5, 1) };
+        let unanimous_start = unanimous_bit == 1;
+        let behavior = if faulty_bit == 1 {
+            FaultyBehavior::Equivocate { seed: 7 }
+        } else {
+            FaultyBehavior::Silent
+        };
+        let sync_pk = PhaseKingCell { n, t, behavior: behavior.clone(), unanimous_start };
+        let async_pk = AsyncPhaseKingCell {
+            n,
+            t,
+            behavior,
+            unanimous_start,
+            net: NetProfile::lockstep(),
+        };
+        prop_assert_eq!(
+            PhaseKingScenario.run(&sync_pk, seed),
+            AsyncPhaseKingScenario.run(&async_pk, seed)
+        );
+
+        let equivocating_sender = faulty_bit == 1;
+        let sync_ds = BroadcastCell { n, t, equivocating_sender };
+        let async_ds = AsyncBroadcastCell {
+            n,
+            t,
+            equivocating_sender,
+            net: NetProfile::lockstep(),
+        };
+        prop_assert_eq!(
+            BroadcastScenario.run(&sync_ds, seed),
+            AsyncBroadcastScenario.run(&async_ds, seed)
+        );
     }
 
     /// The same (config, seed) yields an identical event trace — across

@@ -255,3 +255,61 @@ mod parallel_properties {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sampler's boolean checks and the model checker's properties are
+    /// two views of one implementation: on any decision vector and honest
+    /// set, `check_agreement` matches `Agreement`, set validity matches
+    /// `Validity`, and the crash-model judge matches both over everyone.
+    #[test]
+    fn checker_apis_agree(
+        raw in prop::collection::vec(0u8..4, 1..9),
+        honest_bits in 0u16..256,
+        allowed_bits in 0u8..8,
+    ) {
+        use bne_core::byzantine::properties::{
+            check_agreement, check_validity, uniform_report, validity_witness,
+        };
+        use bne_core::mc::{Agreement, Property, StateView, Validity};
+
+        let n = raw.len();
+        // 0..=2 is a decided value, 3 is undecided
+        let decisions: Vec<Option<u64>> =
+            raw.iter().map(|&r| (r < 3).then_some(u64::from(r))).collect();
+        let honest: Vec<bool> = (0..n).map(|i| honest_bits >> i & 1 == 1).collect();
+        let ids: Vec<usize> = (0..n).filter(|&i| honest[i]).collect();
+        let allowed: Vec<u64> = (0..3).filter(|v| allowed_bits >> v & 1 == 1).collect();
+        let crashed = vec![false; n];
+        let view = StateView { decisions: &decisions, crashed: &crashed };
+
+        prop_assert_eq!(
+            check_agreement(&decisions, &honest),
+            Agreement::new(ids.clone()).check(&view).is_none()
+        );
+        let honest_decided = ids.iter().filter_map(|&i| decisions[i].map(|v| (i, v)));
+        prop_assert_eq!(
+            validity_witness(honest_decided, |v| allowed.contains(&v)).is_none(),
+            Validity::new(ids.clone(), allowed.iter().copied()).check(&view).is_none()
+        );
+        // single-value validity also demands that every honest process decided
+        let all_decided = ids.iter().all(|&i| decisions[i].is_some());
+        prop_assert_eq!(
+            check_validity(&decisions, &honest, 1),
+            all_decided && Validity::new(ids, [1]).check(&view).is_none()
+        );
+
+        let everyone: Vec<usize> = (0..n).collect();
+        let judged = uniform_report(&decisions, &vec![true; n], &allowed);
+        prop_assert_eq!(
+            judged.agreement,
+            Agreement::new(everyone.clone()).check(&view).is_none()
+        );
+        prop_assert_eq!(
+            judged.validity,
+            Validity::new(everyone, allowed.iter().copied()).check(&view).is_none()
+        );
+        prop_assert_eq!(judged.all_decided, decisions.iter().all(Option::is_some));
+    }
+}
